@@ -476,7 +476,11 @@ def _load_relation(target, from_csv):
         rows = [
             [str(M.entry(i, j)) for j in range(M.cols)] for i in range(M.rows)
         ]
-        return relations.FuzzyNeutroRelation.from_tokens(rows)
+        # one x1.. family on both axes, so the middle labels of two CSVs meet
+        labels = ["x%d" % (i + 1) for i in range(max(M.rows, M.cols))]
+        return relations.FuzzyNeutroRelation.from_tokens(
+            rows, labels[:M.rows], labels[:M.cols]
+        )
     return _load_model(target, ("relation",))
 
 

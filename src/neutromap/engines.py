@@ -344,30 +344,18 @@ def rm_run(model, s0, side="domain", clamp=None):
             % (len(s), side, start_len)
         )
     clamp = _resolve_clamp(s, clamp, start_len)
-    W = model.weights
-    WT = W.transpose()
-
-    if side == "domain":
-        X = _clampfix(s, clamp)
-        Y = tuple(ZERO for _ in range(n))
-    else:
-        Y = _clampfix(s, clamp)
-        X = tuple(ZERO for _ in range(m))
-    pair = (X, Y)
+    # A is the start side, B the other; M maps A to B and MT maps back.
+    W, WT = model.weights, model.weights.transpose()
+    M, MT = (W, WT) if side == "domain" else (WT, W)
+    A = _clampfix(s, clamp)
+    B = tuple(ZERO for _ in range(M.cols))
+    pair = (A, B) if side == "domain" else (B, A)
     trajectory = [pair]
     seen = {pair: 0}
     for _ in range(3 ** (m + n) + 1):
-        if side == "domain":
-            Y = tuple(threshold(x) for x in _row_times(X, W))
-            X = _clampfix(
-                tuple(threshold(x) for x in _row_times(Y, WT)), clamp
-            )
-        else:
-            X = tuple(threshold(x) for x in _row_times(Y, WT))
-            Y = _clampfix(
-                tuple(threshold(x) for x in _row_times(X, W)), clamp
-            )
-        pair = (X, Y)
+        B = tuple(threshold(x) for x in _row_times(A, M))
+        A = _clampfix(tuple(threshold(x) for x in _row_times(B, MT)), clamp)
+        pair = (A, B) if side == "domain" else (B, A)
         trajectory.append(pair)
         if pair in seen:
             first = seen[pair]

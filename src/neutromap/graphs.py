@@ -2,12 +2,16 @@
 
 Vertices are indices 0..n-1.  Edges are unordered pairs; parallel edges and
 loops only appear when the corresponding flag is set (contraction creates
-them internally).  Exact decision procedures (Hamiltonicity, chromatic
-number/index) run desk-scale backtracking behind documented size guards.
+them internally).  Cut vertices and bridges come from one lowpoint
+depth-first search (Hopcroft-Tarjan), spanning-tree counts from Kirchhoff's
+matrix-tree theorem with a fraction-free Bareiss determinant.  Exact
+decision procedures (Hamiltonicity, chromatic number/index) run desk-scale
+backtracking behind documented size guards.
 """
 
 import random
 from dataclasses import dataclass
+from itertools import count
 
 from .core import NotFoundError, ShapeError, SizeLimitError
 
@@ -169,51 +173,58 @@ class ConnectivityReport:
 
 
 def connectivity(G):
+    """Components plus cut vertices and bridges from one lowpoint DFS.
+
+    The parent is skipped by edge index, so a parallel edge is never a bridge.
+    """
     n = G.vertex_count
-    adj = G.adjacency()
-    comps = _components(n, adj)
-    base = len(comps)
-
-    cut_vertices = set()
-    for v in range(n):
-        rest = [x for x in range(n) if x != v]
-        sub_adj = [
-            {y for y in adj[x] if y != v} for x in range(n)
-        ]
-        count = 0
-        seen = {v}
-        for s in rest:
-            if s in seen:
-                continue
-            count += 1
-            stack = [s]
-            seen.add(s)
-            while stack:
-                x = stack.pop()
-                for y in sub_adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-        if count > base:
-            cut_vertices.add(v)
-
+    comps = _components(n, G.adjacency())
+    incidence = _incidence(G)
+    disc = [None] * n
+    low = [0] * n
+    hits = [0] * n  # DFS children w of v with low[w] >= disc[v]
+    tick = count()
     cut_edges = set()
-    for e in set(G.edges):
-        u, v = e
-        if u == v:
+    for root in range(n):
+        if disc[root] is not None:
             continue
-        remaining = list(G.edges)
-        remaining.remove(e)
-        adj2 = [set() for _ in range(n)]
-        for a, b in remaining:
-            adj2[a].add(b)
-            adj2[b].add(a)
-        if len(_components(n, adj2)) > base:
-            cut_edges.add(e)
+        disc[root] = low[root] = next(tick)
+        hits[root] = -1  # the first child of a root separates nothing
+        # frames: (vertex, index of the edge it was reached by, edge iterator)
+        stack = [(root, None, iter(incidence[root]))]
+        while stack:
+            v, via, todo = stack[-1]
+            for w, idx in todo:
+                if disc[w] is None:
+                    disc[w] = low[w] = next(tick)
+                    stack.append((w, idx, iter(incidence[w])))
+                    break
+                if idx != via:
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[v])
+                    if low[v] >= disc[p]:
+                        hits[p] += 1
+                    if low[v] > disc[p]:
+                        cut_edges.add(G.edges[via])
 
+    cut_vertices = frozenset(v for v in range(n) if hits[v] > 0)
     return ConnectivityReport(
-        tuple(comps), base <= 1, frozenset(cut_vertices), frozenset(cut_edges)
+        tuple(comps), len(comps) <= 1, cut_vertices, frozenset(cut_edges)
     )
+
+
+def _incidence(G):
+    """Per vertex, (other end, edge index) for each incident edge; loops once."""
+    incidence = [[] for _ in range(G.vertex_count)]
+    for idx, (u, v) in enumerate(G.edges):
+        incidence[u].append((v, idx))
+        if u != v:
+            incidence[v].append((u, idx))
+    return incidence
 
 
 def _bfs_dist(n, adj, src):
@@ -458,19 +469,21 @@ def edit(G, op, arg):
             raise NotFoundError("edge %r not in graph" % (e,))
         if u == v:
             raise ValueError("cannot contract a loop")
-        remaining = list(G.edges)
-        remaining.remove(e)
-        edges = []
-        for a, b in remaining:
-            a2 = u if a == v else a
-            b2 = u if b == v else b
-            if a2 == b2:
-                continue  # parallel copy of e becomes a loop: dropped
-            a2 = a2 if a2 < v else a2 - 1
-            b2 = b2 if b2 < v else b2 - 1
-            edges.append((a2, b2))
-        return Graph(G.vertex_count - 1, edges, allow_multi=True)
+        return Graph(G.vertex_count - 1, _contract(G.edges, u, v), allow_multi=True)
     raise ValueError("unknown edit op %r" % (op,))
+
+
+def _contract(edges, u, v):
+    """Merge v into u (u < v), renumber above v; edges that become loops go."""
+    out = []
+    for a, b in edges:
+        a = u if a == v else a
+        b = u if b == v else b
+        if a != b:
+            a = a if a < v else a - 1
+            b = b if b < v else b - 1
+            out.append((a, b) if a <= b else (b, a))
+    return out
 
 
 def eulerian(G):
@@ -490,11 +503,7 @@ def eulerian(G):
     if len(comps) != 1:
         return False, None
 
-    incidence = [[] for _ in range(G.vertex_count)]
-    for idx, (u, v) in enumerate(G.edges):
-        incidence[u].append((v, idx))
-        if u != v:
-            incidence[v].append((u, idx))
+    incidence = _incidence(G)
     used = [False] * len(G.edges)
     stack = [active[0]]
     path = []
@@ -620,38 +629,45 @@ def _chromatic(n, edges):
         return 0, []
     if not edges:
         return 1, [0] * n
-    bip, cert = is_bipartite(Graph(n, edges))
+    H = Graph(n, edges)
+    bip, cert = is_bipartite(H)
     if bip:
         colors = [0] * n
         for v in cert[1]:
             colors[v] = 1
         return 2, colors
-    adj = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    lower = _greedy_clique(n, adj)
+    adj = H.adjacency()
     order = sorted(range(n), key=lambda v: -len(adj[v]))
-    for k in range(max(3, lower), n + 1):
-        colors = [None] * n
+    return _min_coloring(adj, order, max(3, _greedy_clique(n, adj)))
+
+
+def _min_coloring(adj, order, lower):
+    """Fewest colors, at least `lower`, for items colored in `order`.
+
+    adj[x] holds the items that clash with x.  An item takes at most one color
+    above the highest in use, which skips color permutations.
+    """
+    size = len(order)
+    for k in range(lower, size + 1):
+        colors = [None] * size
 
         def assign(i):
-            if i == len(order):
+            if i == size:
                 return True
-            v = order[i]
-            used = {colors[w] for w in adj[v] if colors[w] is not None}
+            x = order[i]
+            used = {colors[w] for w in adj[x] if colors[w] is not None}
             top = min(k - 1, max((c for c in colors if c is not None), default=-1) + 1)
             for c in range(top + 1):
                 if c not in used:
-                    colors[v] = c
+                    colors[x] = c
                     if assign(i + 1):
                         return True
-                    colors[v] = None
+                    colors[x] = None
             return False
 
         if assign(0):
             return k, colors
-    raise AssertionError("n colors always suffice")
+    raise AssertionError("one color per item always suffices")
 
 
 def _greedy_clique(n, adj):
@@ -670,34 +686,13 @@ def _edge_chromatic(G):
     m = len(edges)
     if m == 0:
         return 0, []
-    deg = G.degrees()
-    delta = max(deg)
+    delta = max(G.degrees())
     # adjacency between edge instances (shared endpoint)
     eadj = [
         [j for j in range(m) if j != i and set(edges[i]) & set(edges[j])]
         for i in range(m)
     ]
-    order = _propagation_order(m, eadj)
-    for k in range(delta, m + 1):
-        colors = [None] * m
-
-        def assign(i):
-            if i == m:
-                return True
-            e = order[i]
-            used = {colors[j] for j in eadj[e] if colors[j] is not None}
-            top = min(k - 1, max((c for c in colors if c is not None), default=-1) + 1)
-            for c in range(top + 1):
-                if c not in used:
-                    colors[e] = c
-                    if assign(i + 1):
-                        return True
-                    colors[e] = None
-            return False
-
-        if assign(0):
-            return k, colors
-    raise AssertionError("m colors always suffice")
+    return _min_coloring(eadj, _propagation_order(m, eadj), delta)
 
 
 def _propagation_order(m, eadj):
@@ -838,18 +833,8 @@ def chromatic_polynomial(G):
             memo[key] = result
             return result
         u, v = edges[0]
-        deleted = edges[1:]
-        merged = []
-        for a, b in deleted:
-            a2 = u if a == v else a
-            b2 = u if b == v else b
-            if a2 == b2:
-                continue
-            a2 = a2 if a2 < v else a2 - 1
-            b2 = b2 if b2 < v else b2 - 1
-            merged.append((a2, b2) if a2 <= b2 else (b2, a2))
-        contracted = tuple(sorted(set(merged)))
-        result = rec(n, deleted) - rec(n - 1, contracted)
+        contracted = tuple(sorted(set(_contract(edges, u, v))))
+        result = rec(n, edges[1:]) - rec(n - 1, contracted)
         memo[key] = result
         return result
 
@@ -866,53 +851,41 @@ def _tree_poly(n):
 
 
 def spanning_tree_count(G):
-    """tau(G) by deletion-contraction over parallel-edge classes."""
-    memo = {}
-
-    def rec(n, classes):
-        # classes: sorted tuple of ((u, v), multiplicity), no loops
-        if n == 0:
-            return 0
-        if n == 1:
-            return 1
-        adj = [set() for _ in range(n)]
-        for (u, v), _mult in classes:
-            adj[u].add(v)
-            adj[v].add(u)
-        if len(_components(n, adj)) > 1:
-            return 0
-        if len(classes) == n - 1:  # spanning tree shape
-            total = 1
-            for _e, mult in classes:
-                total *= mult
-            return total
-        key = (n, classes)
-        if key in memo:
-            return memo[key]
-        (u, v), mult = classes[0]
-        rest = classes[1:]
-        without = rec(n, rest)
-        merged = {}
-        for (a, b), mu in rest:
-            a2 = u if a == v else a
-            b2 = u if b == v else b
-            if a2 == b2:
-                continue
-            a2 = a2 if a2 < v else a2 - 1
-            b2 = b2 if b2 < v else b2 - 1
-            e = (a2, b2) if a2 <= b2 else (b2, a2)
-            merged[e] = merged.get(e, 0) + mu
-        contracted = tuple(sorted(merged.items()))
-        result = without + mult * rec(n - 1, contracted)
-        memo[key] = result
-        return result
-
-    counts = {}
+    """tau(G) as a Laplacian cofactor; loops ignored, parallel edges counted."""
+    n = G.vertex_count
+    if n == 0:
+        return 0
+    L = [[0] * n for _ in range(n)]
     for u, v in G.edges:
-        if u == v:
-            continue
-        counts[(u, v)] = counts.get((u, v), 0) + 1
-    return rec(G.vertex_count, tuple(sorted(counts.items())))
+        if u != v:
+            L[u][u] += 1
+            L[v][v] += 1
+            L[u][v] -= 1
+            L[v][u] -= 1
+    return _bareiss_det([row[1:] for row in L[1:]])
+
+
+def _bareiss_det(A):
+    """Integer determinant by Bareiss elimination; A is consumed.
+
+    Each division by the previous pivot is exact.  The empty matrix gives 1.
+    """
+    n = len(A)
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if A[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            A[k], A[pivot] = A[pivot], A[k]
+            sign = -sign
+        top = A[k]
+        for row in A[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * top[k] - f * top[j]) // prev
+        prev = top[k]
+    return sign * prev
 
 
 def tutte(G, seed=0, reps=20, prime=2**31 - 1):

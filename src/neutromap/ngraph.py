@@ -323,12 +323,7 @@ def neutro_eulerian(G):
     return base and cls != "plain", base and cls == "strong"
 
 
-@dataclass(frozen=True)
-class NeutroColoringReport:
-    chromatic_number: int
-    vertex_colors: tuple
-    edge_chromatic_number: int
-    edge_colors: tuple
+NeutroColoringReport = graphs.ColoringReport
 
 
 def neutro_coloring(G, vertex_guard=14, edge_guard=20):
@@ -376,7 +371,7 @@ def neutro_coloring(G, vertex_guard=14, edge_guard=20):
             edge_colors.append(pool[(u, v)].pop())
         else:
             edge_colors.append(0)
-    return NeutroColoringReport(chi, vertex_colors, chi_e, tuple(edge_colors))
+    return graphs.ColoringReport(chi, vertex_colors, chi_e, tuple(edge_colors))
 
 
 _PETERSEN_VERTEX_ORDER = tuple(range(10))  # inner pentagon 0..4 first

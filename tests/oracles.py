@@ -1,7 +1,9 @@
 # Independent oracle implementations used to verify library output.  Nothing
 # here imports the package under test; the code paths are deliberately
-# different from the shipped algorithms (Bareiss vs deletion-contraction,
-# Floyd-Warshall vs repeated squaring, plain int FCM vs the exact engine).
+# different from the shipped algorithms (deletion-contraction tree counts vs
+# the library's matrix-tree theorem, Floyd-Warshall vs repeated squaring,
+# plain int FCM vs the exact engine).  matrix_tree_count below shares the
+# library's algorithm but none of its code.
 
 import itertools
 from fractions import Fraction
@@ -203,6 +205,63 @@ def matrix_tree_count(n, edges):
         L[v][u] -= 1
     minor = [row[1:] for row in L[1:]]
     return bareiss_det(minor)
+
+
+def deletion_contraction_tree_count(n, edges):
+    """tau by deletion-contraction over parallel-edge classes; loops ignored.
+
+    tau(G) = tau(G - e) + mult(e) * tau(G / e), with a disconnected graph
+    giving 0 and a tree shape giving the product of its multiplicities.
+    """
+    memo = {}
+
+    def components(n, classes):
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for (u, v), _mult in classes:
+            parent[find(u)] = find(v)
+        return len({find(x) for x in range(n)})
+
+    def rec(n, classes):
+        # classes: sorted tuple of ((u, v), multiplicity) with u < v
+        if n == 0:
+            return 0
+        if n == 1:
+            return 1
+        if components(n, classes) > 1:
+            return 0
+        if len(classes) == n - 1:
+            total = 1
+            for _e, mult in classes:
+                total *= mult
+            return total
+        key = (n, classes)
+        if key not in memo:
+            (u, v), mult = classes[0]
+            rest = classes[1:]
+            merged = {}
+            for (a, b), mu in rest:
+                a, b = (u if a == v else a), (u if b == v else b)
+                if a == b:
+                    continue
+                a, b = (a if a < v else a - 1), (b if b < v else b - 1)
+                e = (min(a, b), max(a, b))
+                merged[e] = merged.get(e, 0) + mu
+            memo[key] = rec(n, rest) + mult * rec(n - 1, tuple(sorted(merged.items())))
+        return memo[key]
+
+    counts = {}
+    for u, v in edges:
+        if u != v:
+            e = (min(u, v), max(u, v))
+            counts[e] = counts.get(e, 0) + 1
+    return rec(n, tuple(sorted(counts.items())))
 
 
 # --- matchings and colorings by brute force ------------------------------

@@ -276,7 +276,9 @@ def test_c11_property_based_core():
         n = rng.randint(1, 8)
         edges = oracles.random_simple_graph(rng, n)
         G = graphs.Graph(n, edges)
-        assert graphs.spanning_tree_count(G) == oracles.matrix_tree_count(n, edges)
+        tau = graphs.spanning_tree_count(G)
+        assert tau == oracles.matrix_tree_count(n, edges)
+        assert tau == oracles.deletion_contraction_tree_count(n, edges)
 
     for k in range(200):
         n = rng.randint(1, 8)

@@ -204,6 +204,54 @@ class TestRelCommands:
         assert parse_model(out).kind == "relation"
 
 
+class TestRelFromCsv:
+    P = "0.3, I, 1\n0, 0.5, 0.4I\n1, 0, 0.2\n"
+    Q = "1, 0.2\n0.4I, 0\n0.7, I\n"
+
+    def csv(self, tmp_path, name):
+        path = tmp_path / (name + ".csv")
+        path.write_text(getattr(self, name))
+        return str(path)
+
+    def test_props(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "rel", "props", self.csv(tmp_path, "P"), "--from-csv")
+        assert code == 0
+        assert "anti reflexive: true" in out and "transitive: false" in out
+
+    def test_closure(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "rel", "closure", self.csv(tmp_path, "P"), "--from-csv")
+        assert code == 0
+        assert out.splitlines()[2:] == [
+            "x1, x2, x3",
+            "x1, 1, I, 1",
+            "x2, 0.4I, 0.5, 0.4I",
+            "x3, 1, I, 1",
+        ]
+
+    def test_compose(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "rel", "compose",
+            self.csv(tmp_path, "P"), self.csv(tmp_path, "Q"), "--from-csv",
+        )
+        assert code == 0
+        assert out.splitlines()[2:] == [
+            "x1, x2",
+            "x1, 0.7, I",
+            "x2, 0.4I, 0.4I",
+            "x3, 1, 0.2",
+        ]
+
+    def test_join(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "rel", "join",
+            self.csv(tmp_path, "P"), self.csv(tmp_path, "Q"), "--from-csv",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 3 * 3 * 2
+        assert "x1 x3 x2: I" in lines and "x3 x3 x2: 0.2I" in lines
+
+
 class TestCmRun:
     def test_child_neutro_golden(self, capsys):
         code, out, _ = run(

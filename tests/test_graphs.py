@@ -103,6 +103,41 @@ class TestDegreesAndConnectivity:
         r = connectivity(generate("cycle", 5))
         assert not r.cut_vertices and not r.cut_edges
 
+    def test_matches_networkx_on_multigraphs(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(23)
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            edges = [
+                (rng.randrange(n), rng.randrange(n))
+                for _ in range(rng.randint(0, 2 * n))
+            ]
+            G = Graph(n, edges, allow_multi=True, allow_loops=True)
+            H = nx.MultiGraph()
+            H.add_nodes_from(range(n))  # keeps the isolated vertices
+            H.add_edges_from(edges)
+            r = connectivity(G)
+            assert r.cut_vertices == set(nx.articulation_points(H))
+            assert r.cut_edges == {
+                (min(u, v), max(u, v)) for u, v in nx.bridges(H)
+            }
+            assert len(r.components) == nx.number_connected_components(H)
+
+    def test_long_path_is_all_cuts(self):
+        n = 3000
+        r = connectivity(generate("path", n))
+        assert r.cut_vertices == set(range(1, n - 1))
+        assert r.cut_edges == {(i, i + 1) for i in range(n - 1)}
+
+    def test_parallel_edges_and_loops_are_never_bridges(self):
+        G = Graph(
+            4, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2), (2, 3)],
+            allow_multi=True, allow_loops=True,
+        )
+        r = connectivity(G)
+        assert r.cut_edges == {(1, 2), (2, 3)}
+        assert r.cut_vertices == {1, 2}
+
 
 class TestMetrics:
     def test_diamond_goldens(self):
@@ -356,6 +391,27 @@ class TestSpanningTrees:
             assert spanning_tree_count(Graph(n, edges)) == oracles.matrix_tree_count(
                 n, edges
             )
+
+    def test_matches_deletion_contraction(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            n = rng.randint(0, 7)
+            edges = oracles.random_simple_graph(rng, n)
+            assert spanning_tree_count(
+                Graph(n, edges)
+            ) == oracles.deletion_contraction_tree_count(n, edges)
+
+    def test_multigraph_with_loops(self):
+        # loops never lie on a spanning tree; parallel edges each count
+        edges = [(0, 0), (0, 1), (0, 1), (1, 2), (1, 2), (1, 2), (0, 2), (2, 2)]
+        G = Graph(3, edges, allow_multi=True, allow_loops=True)
+        assert spanning_tree_count(G) == 2 * 3 + 2 * 1 + 3 * 1
+        assert spanning_tree_count(G) == oracles.deletion_contraction_tree_count(3, edges)
+        assert spanning_tree_count(G) == oracles.matrix_tree_count(3, edges)
+
+    def test_torus_c6_by_c4(self):
+        G = combine("cartesian-product", generate("cycle", 6), generate("cycle", 4))
+        assert spanning_tree_count(G) == 428_652_000_000
 
 
 class TestTutte:
