@@ -1,367 +1,30 @@
-"""Model files, DOT export, and the neutromap command-line front end.
+"""The neutromap command-line front end.
 
-One textual model format covers every payload kind behind a `kind` tag.
-Parsing and serialization are exact inverses on canonical files: comments
-and blank lines are dropped, separators are normalized to ", ", and every
-file ends in exactly one newline.
+Reads model files (`-` for stdin), bare CSV matrices (`--from-csv`) and
+graph generator names, runs one library call per command, and prints
+`label: value` lines or, with `--format structured`, `key = value` lines.
+The model file format and DOT export live in `neutromap.formats`.
 
 Exit codes: 0 success, 1 generic domain error, 2 parse error, 3 shape
 error, 4 size-guard violation, 5 unknown name/file.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import engines, graphs, ngraph, relations
 from .core import (
-    NeutroMatrix,
     NotFoundError,
     ParseError,
     ShapeError,
     SizeLimitError,
-    ZERO,
-    I,
-    ONE,
     parse_matrix,
-    parse_number,
     render_matrix,
 )
-
-MODEL_HEADER = "neutromap-model 1"
-KINDS = ("graph", "neutro-graph", "relation", "concept-model", "relational-model")
-
-
-@dataclass(frozen=True)
-class ModelFile:
-    kind: str
-    payload: object
-
-
-def model_for(payload):
-    """Wrap a payload object in a ModelFile with its kind tag."""
-    if isinstance(payload, ngraph.NeutroGraph):
-        return ModelFile("neutro-graph", payload)
-    if isinstance(payload, graphs.Graph):
-        return ModelFile("graph", payload)
-    if isinstance(payload, relations.FuzzyNeutroRelation):
-        return ModelFile("relation", payload)
-    if isinstance(payload, engines.ConceptModel):
-        return ModelFile("concept-model", payload)
-    if isinstance(payload, engines.RelationalModel):
-        return ModelFile("relational-model", payload)
-    raise TypeError("no model kind for %r" % (type(payload).__name__,))
-
-
-def _meaningful_lines(text):
-    out = []
-    for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append((no, line))
-    return out
-
-
-def _parse_ints(no, line, count, what):
-    parts = line.split()
-    if len(parts) != count:
-        raise ParseError("line %d: expected %s" % (no, what))
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise ParseError("line %d: expected %s" % (no, what)) from None
-
-
-def parse_model(text):
-    lines = _meaningful_lines(text)
-    if not lines:
-        raise ParseError("empty model file")
-    no, first = lines[0]
-    if first != MODEL_HEADER:
-        raise ParseError("line %d: expected header %r" % (no, MODEL_HEADER))
-    if len(lines) < 2 or not lines[1][1].startswith("kind "):
-        raise ParseError("missing `kind <kind>` line")
-    kind = lines[1][1][5:].strip()
-    body = lines[2:]
-    try:
-        if kind == "graph":
-            payload = _parse_graph_body(body)
-        elif kind == "neutro-graph":
-            payload = _parse_neutro_body(body)
-        elif kind == "relation":
-            payload = _parse_relation_body(body)
-        elif kind == "concept-model":
-            payload = _parse_concept_body(body)
-        elif kind == "relational-model":
-            payload = _parse_relational_body(body)
-        else:
-            raise ParseError("unknown model kind %r" % (kind,))
-    except ParseError:
-        raise
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    return ModelFile(kind, payload)
-
-
-def _parse_graph_body(body):
-    if not body:
-        raise ParseError("graph body needs an `n m` line")
-    n, m = _parse_ints(body[0][0], body[0][1], 2, "`n m`")
-    if len(body) - 1 != m:
-        raise ParseError(
-            "expected %d edge lines, found %d" % (m, len(body) - 1)
-        )
-    edges = [
-        tuple(_parse_ints(no, line, 2, "`u v`")) for no, line in body[1:]
-    ]
-    return graphs.Graph(n, edges)
-
-
-def _parse_neutro_body(body):
-    if not body:
-        raise ParseError("neutro-graph body needs an `n_real n_indet m directed` line")
-    n_real, n_indet, m, directed = _parse_ints(
-        body[0][0], body[0][1], 4, "`n_real n_indet m directed`"
-    )
-    if directed not in (0, 1):
-        raise ParseError("line %d: directed flag must be 0 or 1" % (body[0][0],))
-    if len(body) - 1 != m:
-        raise ParseError(
-            "expected %d edge lines, found %d" % (m, len(body) - 1)
-        )
-    edges = []
-    for no, line in body[1:]:
-        parts = line.split()
-        if len(parts) != 3 or parts[2] not in ("R", "I"):
-            raise ParseError("line %d: expected `u v R|I`" % (no,))
-        try:
-            edges.append((int(parts[0]), int(parts[1]), parts[2]))
-        except ValueError:
-            raise ParseError("line %d: expected `u v R|I`" % (no,)) from None
-    return ngraph.NeutroGraph(n_real, n_indet, edges, directed=bool(directed))
-
-
-def _parse_relation_body(body):
-    if not body:
-        raise ParseError("relation body needs a column-label header line")
-    cols = [c.strip() for c in body[0][1].split(",")]
-    if any(not c for c in cols):
-        raise ParseError("line %d: empty column label" % (body[0][0],))
-    row_labels = []
-    rows = []
-    for no, line in body[1:]:
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != len(cols) + 1:
-            raise ParseError(
-                "line %d: expected a row label and %d values" % (no, len(cols))
-            )
-        row_labels.append(parts[0])
-        try:
-            rows.append([relations.FuzzyNeutroValue.parse(t) for t in parts[1:]])
-        except ParseError as exc:
-            raise ParseError("line %d: %s" % (no, exc)) from None
-    return relations.FuzzyNeutroRelation(row_labels, cols, rows)
-
-
-def _matrix_rows(body, what):
-    if not body:
-        raise ParseError("missing %s rows" % (what,))
-    rows = []
-    for no, line in body:
-        try:
-            rows.append([parse_number(tok) for tok in line.split(",")])
-        except ParseError as exc:
-            raise ParseError("line %d: %s" % (no, exc)) from None
-    return NeutroMatrix(rows)
-
-
-def _parse_concept_body(body):
-    if not body or not body[0][1].startswith("concepts "):
-        raise ParseError("concept-model body needs a `concepts ...` line")
-    names = body[0][1].split()[1:]
-    i = 1
-    clamp_names = None
-    if i < len(body) and body[i][1].startswith("clamp "):
-        clamp_names = body[i][1].split()[1:]
-        i += 1
-    if i >= len(body) or body[i][1] != "matrix":
-        raise ParseError("concept-model body needs a `matrix` line")
-    weights = _matrix_rows(body[i + 1 :], "matrix")
-    clamp = None
-    if clamp_names is not None:
-        try:
-            clamp = frozenset(names.index(c) for c in clamp_names)
-        except ValueError:
-            raise ParseError("clamp names must be declared concepts") from None
-    return engines.ConceptModel(names, weights, clamp)
-
-
-def _parse_relational_body(body):
-    if not body or not body[0][1].startswith("domain "):
-        raise ParseError("relational-model body needs a `domain ...` line")
-    domain = body[0][1].split()[1:]
-    if len(body) < 2 or not body[1][1].startswith("range "):
-        raise ParseError("relational-model body needs a `range ...` line")
-    rng = body[1][1].split()[1:]
-    if len(body) < 3 or body[2][1] != "matrix":
-        raise ParseError("relational-model body needs a `matrix` line")
-    weights = _matrix_rows(body[3:], "matrix")
-    return engines.RelationalModel(domain, rng, weights)
-
-
-def serialize_model(mf):
-    k, p = mf.kind, mf.payload
-    lines = [MODEL_HEADER, "kind " + k]
-    if k == "graph":
-        lines.append("%d %d" % (p.vertex_count, p.m))
-        lines += ["%d %d" % e for e in p.edges]
-    elif k == "neutro-graph":
-        lines.append(
-            "%d %d %d %d" % (p.n_real, p.n_indet, p.m, 1 if p.directed else 0)
-        )
-        lines += ["%d %d %s" % e for e in p.edges]
-    elif k == "relation":
-        lines.append(", ".join(p.col_labels))
-        for lbl, row in zip(p.row_labels, p.values):
-            lines.append(", ".join([lbl] + [str(v) for v in row]))
-    elif k == "concept-model":
-        lines.append("concepts " + " ".join(p.concept_names))
-        if p.default_clamp is not None:
-            lines.append(
-                "clamp "
-                + " ".join(p.concept_names[i] for i in sorted(p.default_clamp))
-            )
-        lines.append("matrix")
-        lines += render_matrix(p.weights).splitlines()
-    elif k == "relational-model":
-        lines.append("domain " + " ".join(p.domain_names))
-        lines.append("range " + " ".join(p.range_names))
-        lines.append("matrix")
-        lines += render_matrix(p.weights).splitlines()
-    else:
-        raise ValueError("unknown model kind %r" % (k,))
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------- DOT export
-
-def _q(name):
-    return '"%s"' % (name,)
-
-
-def export_dot(payload):
-    """Graphviz text with the house styling for indeterminacy.
-
-    Indeterminate edges are dotted and labeled I; indeterminate vertices get
-    a diamond shape and their N_k labels; signed arcs carry +1/-1 labels;
-    relational models and relations are ranked bipartite.
-    """
-    if isinstance(payload, ngraph.NeutroGraph):
-        return _dot_neutro_graph(payload)
-    if isinstance(payload, graphs.Graph):
-        return _dot_graph(payload)
-    if isinstance(payload, engines.ConceptModel):
-        return _dot_concept(payload)
-    if isinstance(payload, engines.RelationalModel):
-        return _dot_relational(payload)
-    if isinstance(payload, relations.FuzzyNeutroRelation):
-        return _dot_relation(payload)
-    raise TypeError("cannot export %r to dot" % (type(payload).__name__,))
-
-
-def _dot_graph(G):
-    lines = ["graph G {"]
-    for v in range(G.vertex_count):
-        lines.append("  %s;" % _q("v%d" % (v + 1)))
-    for u, v in G.edges:
-        lines.append("  %s -- %s;" % (_q("v%d" % (u + 1)), _q("v%d" % (v + 1))))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _dot_neutro_graph(G):
-    head, arrow = ("digraph", "->") if G.directed else ("graph", "--")
-    lines = ["%s G {" % (head,)]
-    for v in range(G.vertex_count):
-        if G.is_indet_vertex(v):
-            lines.append("  %s [shape=diamond];" % _q(G.label(v)))
-        else:
-            lines.append("  %s;" % _q(G.label(v)))
-    for u, v, t in G.edges:
-        edge = "  %s %s %s" % (_q(G.label(u)), arrow, _q(G.label(v)))
-        if t == "I":
-            edge += ' [style=dotted, label="I"]'
-        lines.append(edge + ";")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-_SIGN_LABELS = {1: "+1", -1: "-1"}
-
-
-def _arc(src, dst, w):
-    if w == I:
-        return '  %s -> %s [style=dotted, label="I"];' % (src, dst)
-    return '  %s -> %s [label="%s"];' % (src, dst, _SIGN_LABELS[w.real])
-
-
-def _dot_concept(model):
-    lines = ["digraph G {"]
-    for name in model.concept_names:
-        lines.append("  %s;" % _q(name))
-    n = model.size
-    for i in range(n):
-        for j in range(n):
-            w = model.weights.entry(i, j)
-            if w != ZERO:
-                lines.append(
-                    _arc(_q(model.concept_names[i]), _q(model.concept_names[j]), w)
-                )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _dot_relational(model):
-    lines = ["digraph G {", "  rankdir=LR;"]
-    lines.append("  { rank=same; %s }" % " ".join(
-        "%s;" % _q(d) for d in model.domain_names
-    ))
-    lines.append("  { rank=same; %s }" % " ".join(
-        "%s;" % _q(r) for r in model.range_names
-    ))
-    for i, d in enumerate(model.domain_names):
-        for j, r in enumerate(model.range_names):
-            w = model.weights.entry(i, j)
-            if w != ZERO:
-                lines.append(_arc(_q(d), _q(r), w))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _dot_relation(R):
-    lines = ["digraph G {", "  rankdir=LR;"]
-    lines.append("  { rank=same; %s }" % " ".join(
-        "%s;" % _q(x) for x in R.row_labels
-    ))
-    lines.append("  { rank=same; %s }" % " ".join(
-        "%s;" % _q(y) for y in R.col_labels
-    ))
-    for i, x in enumerate(R.row_labels):
-        for j, y in enumerate(R.col_labels):
-            v = R.values[i][j]
-            if v.magnitude == 0:
-                continue
-            if v.indeterminate:
-                lines.append(
-                    '  %s -> %s [style=dotted, label="%s"];' % (_q(x), _q(y), v)
-                )
-            else:
-                lines.append('  %s -> %s [label="%s"];' % (_q(x), _q(y), v))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
+from .formats import export_dot, model_for, parse_model, serialize_model
 
 # ------------------------------------------------------------------- output
 
@@ -444,24 +107,10 @@ def _load_model(target, want):
 
 def _load_graph(target, from_csv):
     if from_csv:
-        M = parse_matrix(_read_text(target))
-        if M.rows != M.cols:
-            raise ShapeError("adjacency csv must be square")
-        edges = []
-        for i in range(M.rows):
-            if M.entry(i, i) != ZERO:
-                raise ValueError("adjacency csv needs a zero diagonal")
-            for j in range(i + 1, M.cols):
-                x = M.entry(i, j)
-                if x != M.entry(j, i):
-                    raise ValueError(
-                        "asymmetric adjacency at (%d, %d)" % (i + 1, j + 1)
-                    )
-                if x == ONE:
-                    edges.append((i, j))
-                elif x != ZERO:
-                    raise ValueError("graph adjacency entries must be 0 or 1")
-        return graphs.Graph(M.rows, edges)
+        G = ngraph.from_adjacency(parse_matrix(_read_text(target)))
+        if any(t == "I" for _u, _v, t in G.edges):
+            raise ValueError("graph adjacency entries must be 0 or 1")
+        return G.underlying()
     if target != "-" and not os.path.exists(target):
         G = _generator(target)
         if G is None:
@@ -517,16 +166,18 @@ def _split_names(arg):
 
 # ----------------------------------------------------------------- commands
 
+_ANALYSES = (
+    "degree", "connectivity", "metrics", "bipartite", "coloring",
+    "polynomial", "tree-count", "tutte", "eulerian", "hamiltonian",
+)
+
+
 def _cmd_graph_analyze(args, fmt):
     G = _load_graph(args.target, args.from_csv)
     out = _Out(fmt)
     out.put("graph.vertices", "vertices", G.vertex_count)
     out.put("graph.edges", "edges", G.m)
-    flags = (
-        "degree", "connectivity", "metrics", "bipartite", "coloring",
-        "polynomial", "tree_count", "tutte", "eulerian", "hamiltonian",
-    )
-    if not any(getattr(args, f) for f in flags):
+    if not any(getattr(args, a.replace("-", "_")) for a in _ANALYSES):
         args.degree = args.connectivity = True
 
     if args.degree:
@@ -667,51 +318,45 @@ def _cmd_ngraph_petersen(args, fmt):
 
 
 def _cmd_rel(args, fmt):
+    rels = [_load_relation(t, args.from_csv) for t in args.inputs]
     out = _Out(fmt)
     if args.action == "compose":
-        P = _load_relation(args.inputs[0], args.from_csv)
-        Q = _load_relation(args.inputs[1], args.from_csv)
-        C = relations.maxmin_compose(P, Q)
+        C = relations.maxmin_compose(*rels)
         out.block("compose.model", "", serialize_model(model_for(C)))
     elif args.action == "closure":
-        R = _load_relation(args.inputs[0], args.from_csv)
-        C = relations.transitive_closure(R)
+        C = relations.transitive_closure(*rels)
         out.block("closure.model", "", serialize_model(model_for(C)))
     elif args.action == "props":
-        R = _load_relation(args.inputs[0], args.from_csv)
-        report = relations.properties(R, Fraction(args.epsilon))
-        for field in (
-            "reflexive", "epsilon_reflexive", "irreflexive", "anti_reflexive",
-            "symmetric", "asymmetric", "antisymmetric", "transitive",
-            "anti_transitive", "compatibility", "partial_order",
-        ):
-            label = field.replace("_", " ")
-            out.put("props." + field.replace("_", "-"), label, getattr(report, field))
-    elif args.action == "join":
-        P = _load_relation(args.inputs[0], args.from_csv)
-        Q = _load_relation(args.inputs[1], args.from_csv)
-        table = relations.relational_join(P, Q)
+        try:
+            epsilon = Fraction(args.epsilon)
+        except ZeroDivisionError:
+            raise ValueError("epsilon has a zero denominator") from None
+        report = relations.properties(*rels, epsilon)
+        for f in dataclasses.fields(relations.PropertyReport):
+            out.put("props." + f.name.replace("_", "-"), f.name.replace("_", " "),
+                    getattr(report, f.name))
+    else:
+        table = relations.relational_join(*rels)
         for (x, y, z), v in table.items():
             out.put("join.%s.%s.%s" % (x, y, z), "%s %s %s" % (x, y, z), v)
-    else:
-        raise ValueError("unknown rel action %r" % (args.action,))
     return out.text()
 
 
-def _render_pattern(out, prefix, label, pattern):
-    out.put(prefix + ".kind", label + " pattern", pattern.kind)
+def _render_pattern(out, key, lead, kind_label, pattern):
+    """Hidden-pattern lines; `lead` prefixes the labels after the first."""
+    out.put(key + ".kind", kind_label, pattern.kind)
     if pattern.kind == "fixed-point":
         out.put(
-            prefix + ".state", label + " fixed point",
+            key + ".state", lead + "fixed point",
             engines.render_state(pattern.states[0]),
         )
     else:
         for i, s in enumerate(pattern.states):
             out.put(
-                "%s.cycle.%d" % (prefix, i), "%s cycle state %d" % (label, i),
+                "%s.cycle.%d" % (key, i), "%scycle state %d" % (lead, i),
                 engines.render_state(s),
             )
-    out.put(prefix + ".steps", label + " steps to enter", pattern.steps_to_enter)
+    out.put(key + ".steps", lead + "steps to enter", pattern.steps_to_enter)
 
 
 def _cmd_cm_run(args, fmt):
@@ -728,19 +373,7 @@ def _cmd_cm_run(args, fmt):
     out.put("concepts", "concepts", model.concept_names)
     for i, s in enumerate(trajectory):
         out.put("state.%d" % i, "state %d" % i, engines.render_state(s))
-    if pattern.kind == "fixed-point":
-        out.put("pattern.kind", "hidden pattern", "fixed-point")
-        out.put(
-            "pattern.state", "fixed point", engines.render_state(pattern.states[0])
-        )
-    else:
-        out.put("pattern.kind", "hidden pattern", "limit-cycle")
-        for i, s in enumerate(pattern.states):
-            out.put(
-                "pattern.cycle.%d" % i, "cycle state %d" % i,
-                engines.render_state(s),
-            )
-    out.put("pattern.steps", "steps to enter", pattern.steps_to_enter)
+    _render_pattern(out, "pattern", "", "hidden pattern", pattern)
     return out.text()
 
 
@@ -774,8 +407,8 @@ def _cmd_rm_run(args, fmt):
             "pair.%d" % i, "pair %d" % i,
             engines.render_state(X) + " / " + engines.render_state(Y),
         )
-    _render_pattern(out, "domain-pattern", "domain", result.domain)
-    _render_pattern(out, "range-pattern", "range", result.range)
+    _render_pattern(out, "domain-pattern", "domain ", "domain pattern", result.domain)
+    _render_pattern(out, "range-pattern", "range ", "range pattern", result.range)
     return out.text()
 
 
@@ -841,12 +474,8 @@ def _build_parser():
     ga = gsub.add_parser("analyze", parents=[common])
     ga.add_argument("target", help="model file, - for stdin, or a generator name")
     ga.add_argument("--from-csv", action="store_true", dest="from_csv")
-    for flag in (
-        "degree", "connectivity", "metrics", "bipartite", "coloring",
-        "polynomial", "tree-count", "tutte", "eulerian", "hamiltonian",
-    ):
-        ga.add_argument("--" + flag, action="store_true",
-                        dest=flag.replace("-", "_"))
+    for a in _ANALYSES:
+        ga.add_argument("--" + a, action="store_true")
     ga.add_argument("--seed", type=int, default=0)
     ga.set_defaults(func=_cmd_graph_analyze)
 

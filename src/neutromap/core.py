@@ -28,7 +28,8 @@ class NotFoundError(LookupError):
     """A referenced name, vertex or edge does not exist."""
 
 
-_NUM = r"(?:\d+\.\d+|\.\d+|\d+/\d+|\d+)"
+# a fraction's denominator needs a nonzero digit, so "1/0" is a bad token
+_NUM = r"(?:\d+\.\d+|\.\d+|\d+/0*[1-9]\d*|\d+)"
 _TOKEN_RE = re.compile(
     "(?:(?P<ra>[+-]?{n})(?P<ib>[+-](?:{n})?)I"
     "|(?P<ionly>[+-]?(?:{n})?)I"
@@ -346,23 +347,31 @@ def neutro_dimension(n, base):
     raise ValueError("base must be 'ordinary-field' or 'neutrosophic-field'")
 
 
-def parse_matrix(text):
-    """Parse newline-separated rows of comma-separated value tokens."""
+def meaningful_lines(text):
+    """(line number, stripped line) for every line not blank or a # comment."""
+    numbered = ((no, raw.strip()) for no, raw in enumerate(text.splitlines(), 1))
+    return [(no, line) for no, line in numbered if line and not line.startswith("#")]
+
+
+def matrix_from_lines(numbered, empty_message):
+    """Rows of comma-separated value tokens, given as (line number, line)."""
     rows = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for no, line in numbered:
         try:
             rows.append([parse_number(tok) for tok in line.split(",")])
         except ParseError as exc:
-            raise ParseError("line %d: %s" % (lineno, exc)) from None
+            raise ParseError("line %d: %s" % (no, exc)) from None
     if not rows:
-        raise ParseError("empty matrix text")
+        raise ParseError(empty_message)
     try:
         return NeutroMatrix(rows)
     except ShapeError as exc:
         raise ParseError(str(exc)) from None
+
+
+def parse_matrix(text):
+    """Parse newline-separated rows of comma-separated value tokens."""
+    return matrix_from_lines(meaningful_lines(text), "empty matrix text")
 
 
 def render_matrix(M):

@@ -255,53 +255,44 @@ def metrics(G):
     adj = G.adjacency()
     dists = tuple(tuple(_bfs_dist(n, adj, s)) for s in range(n))
 
-    girth = None
-    if any(u == v for u, v in G.edges):
+    # edges are sorted, so parallel pairs sit next to each other
+    loop = any(u == v for u, v in G.edges)
+    parallel = any(a == b and a[0] != a[1] for a, b in zip(G.edges, G.edges[1:]))
+    if loop:
         girth = 1
+    elif parallel:
+        girth = 2
     else:
-        pairs = {}
-        for e in G.edges:
-            pairs[e] = pairs.get(e, 0) + 1
-        if any(c > 1 for c in pairs.values()):
-            girth = 2
-        else:
-            best = None
-            for s in range(n):
-                dist = [None] * n
-                parent = [None] * n
-                dist[s] = 0
-                queue = [s]
-                head = 0
-                while head < len(queue):
-                    x = queue[head]
-                    head += 1
-                    for y in adj[x]:
-                        if dist[y] is None:
-                            dist[y] = dist[x] + 1
-                            parent[y] = x
-                            queue.append(y)
-                        elif parent[x] != y:
-                            cand = dist[x] + dist[y] + 1
-                            if best is None or cand < best:
-                                best = cand
-            girth = best
+        best = None
+        for s in range(n):
+            dist = [None] * n
+            parent = [None] * n
+            dist[s] = 0
+            queue = [s]
+            head = 0
+            while head < len(queue):
+                x = queue[head]
+                head += 1
+                for y in adj[x]:
+                    if dist[y] is None:
+                        dist[y] = dist[x] + 1
+                        parent[y] = x
+                        queue.append(y)
+                    elif parent[x] != y:
+                        cand = dist[x] + dist[y] + 1
+                        if best is None or cand < best:
+                            best = cand
+        girth = best
 
-    circumference = _longest_cycle_length(n, adj, G)
+    circumference = _longest_cycle_length(n, adj, 2 if parallel else 1 if loop else None)
     diameter = None
     if n > 0 and len(_components(n, adj)) == 1:
         diameter = max(d for row in dists for d in row)
     return MetricsReport(dists, girth, circumference, diameter)
 
 
-def _longest_cycle_length(n, adj, G):
-    loops = [u for u, v in G.edges if u == v]
-    best = 1 if loops else None
-    counts = {}
-    for e in G.edges:
-        counts[e] = counts.get(e, 0) + 1
-    if any(c > 1 for u_v, c in counts.items() if u_v[0] != u_v[1]):
-        if best is None or best < 2:
-            best = 2
+def _longest_cycle_length(n, adj, best):
+    """Longest cycle of length >= 3, or `best` (the loop/parallel floor)."""
 
     def extend(start, last, visited, length):
         nonlocal best

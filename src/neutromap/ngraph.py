@@ -9,7 +9,7 @@ indeterminacy bookkeeping on top.
 from dataclasses import dataclass
 
 from . import graphs
-from .core import I, NeutroMatrix, SizeLimitError, ZERO, ONE
+from .core import I, NeutroMatrix, ShapeError, SizeLimitError, ZERO, ONE
 
 
 _TAGS = ("R", "I")
@@ -122,7 +122,7 @@ def adjacency(G):
 def from_adjacency(M, indet_vertices=0, directed=False):
     """Inverse of adjacency; vertex indeterminacy is supplied out-of-band."""
     if M.rows != M.cols:
-        raise ValueError("adjacency matrix must be square")
+        raise ShapeError("adjacency matrix must be square")
     if not (0 <= indet_vertices <= M.rows):
         raise ValueError("indeterminate vertex count out of range")
     for i in range(M.rows):

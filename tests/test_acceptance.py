@@ -23,7 +23,8 @@ from neutromap.core import (
     unsplit,
 )
 from neutromap import engines, graphs, ngraph, relations
-from neutromap.cli import main as cli_main, parse_model
+from neutromap.cli import main as cli_main
+from neutromap.formats import parse_model
 
 import goldens
 import oracles

@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from neutromap.cli import main, parse_model, serialize_model
+from neutromap.cli import main
+from neutromap.formats import parse_model, serialize_model
 
 import goldens
 
@@ -48,6 +49,29 @@ class TestModelFiles:
 
 
 class TestExitCodes:
+    def test_zero_denominator_in_csv_is_a_parse_error(self, capsys, tmp_path):
+        z = tmp_path / "z.csv"
+        z.write_text("0, 1/0\n1, 0\n")
+        code, out, err = run(capsys, "cm", "run", str(z), "--from-csv", "--on", "C1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1: ") and err.count("\n") == 1
+
+    def test_zero_denominator_in_model_is_a_parse_error(self, capsys, tmp_path):
+        bad = tmp_path / "z.model"
+        bad.write_text(
+            "neutromap-model 1\nkind relation\na, b\na, 0, 1/0I\nb, 2+1/0I, 0\n"
+        )
+        code, _, err = run(capsys, "rel", "props", str(bad))
+        assert code == 2 and err.startswith("error: line 4: ")
+        assert err.count("\n") == 1
+
+    def test_zero_denominator_epsilon_is_a_domain_error(self, capsys):
+        code, out, err = run(
+            capsys, "rel", "props", fx("sec-3.7-abcde.model"), "--epsilon", "1/0"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_file_is_not_found(self, capsys):
         code, _, err = run(capsys, "cm", "run", "no-such.model", "--on", "C1")
         assert code == 5 and "no such file" in err

@@ -61,6 +61,14 @@ class TestScalar:
             with pytest.raises(ParseError):
                 parse_number(bad)
 
+    def test_zero_denominator_is_a_parse_error(self):
+        for bad in ("1/0", "1/0I", "2+1/0I", "-1/00", "1/0-I"):
+            with pytest.raises(ParseError, match="bad value token"):
+                parse_number(bad)
+        assert parse_number("3/06") == NeutroNumber(Fraction(1, 2))
+        with pytest.raises(ParseError, match="line 2"):
+            parse_matrix("1, 2\n0, 1/0")
+
     def test_idempotent_indeterminacy(self):
         assert I * I == I
         assert I * (ONE - I) == ZERO

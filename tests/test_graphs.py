@@ -147,8 +147,19 @@ class TestMetrics:
         assert r.diameter == goldens.FIG_2_2_3_DIAMETER
 
     def test_loop_and_parallel_girths(self):
-        assert metrics(Graph(2, [(0, 0)], allow_loops=True)).girth == 1
-        assert metrics(Graph(2, [(0, 1)] * 2, allow_multi=True)).girth == 2
+        r = metrics(Graph(2, [(0, 0)], allow_loops=True))
+        assert (r.girth, r.circumference) == (1, 1)
+        r = metrics(Graph(2, [(0, 1)] * 2, allow_multi=True))
+        assert (r.girth, r.circumference) == (2, 2)
+        both = Graph(3, [(0, 0), (1, 2), (1, 2)], allow_multi=True, allow_loops=True)
+        r = metrics(both)
+        assert (r.girth, r.circumference) == (1, 2)
+        twin_loops = Graph(1, [(0, 0), (0, 0)], allow_multi=True, allow_loops=True)
+        assert metrics(twin_loops).circumference == 1
+        triangle = Graph(3, [(0, 0), (0, 1), (0, 1), (0, 2), (1, 2)],
+                         allow_multi=True, allow_loops=True)
+        r = metrics(triangle)
+        assert (r.girth, r.circumference) == (1, 3)
 
     def test_forest_has_no_cycles(self):
         r = metrics(generate("path", 4))
