@@ -80,19 +80,17 @@ def _read_text(target):
         return fh.read()
 
 
-_FAMILIES = ("complete-bipartite", "complete", "cycle", "path", "star", "wheel")
-
-
 def _generator(name):
-    if name == "petersen":
-        return graphs.generate("petersen")
-    for fam in _FAMILIES:
-        if name.startswith(fam + "-"):
+    """The graph a name like `cycle-5` or `complete-bipartite-2-3` names, or None."""
+    words = name.split("-")
+    for cut in range(len(words), 0, -1):
+        family = "-".join(words[:cut])
+        if family in graphs.FAMILIES:
             try:
-                params = [int(x) for x in name[len(fam) + 1 :].split("-")]
+                params = [int(w) for w in words[cut:]]
             except ValueError:
                 return None
-            return graphs.generate(fam, *params)
+            return graphs.generate(family, *params)
     return None
 
 
@@ -307,10 +305,6 @@ def _cmd_ngraph_color(args, fmt):
 
 
 def _cmd_ngraph_petersen(args, fmt):
-    if args.kind in ("vertex", "edge") and len(args.params) != 1:
-        raise ValueError("%s variant takes exactly one k" % (args.kind,))
-    if args.kind == "strong" and len(args.params) != 2:
-        raise ValueError("strong variant takes j and k")
     G = ngraph.neutro_petersen(args.kind, *args.params)
     out = _Out(fmt)
     out.block("petersen.model", "", serialize_model(model_for(G)))

@@ -4,9 +4,11 @@ The indeterminate I satisfies I*I = I, so (a+bI)(c+dI) = ac + (ad+bc+bd)I.
 All coefficients are exact rationals; there is no floating point anywhere in
 this module.  The ring K(I) has zero divisors (I*(1-I) = 0), which is why
 rank and invertibility go through the componentwise splitting isomorphism
-a+bI -> (a, a+b) instead of direct elimination.
+a+bI -> (a, a+b) instead of direct elimination: each split component is
+scaled to integers and ranked by fraction-free (Bareiss) elimination.
 """
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -300,40 +302,53 @@ def nm_transpose(A):
     return A.transpose()
 
 
-def _gauss_rank(rows):
-    m = [list(r) for r in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    rank = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(rank, n_rows):
-            if m[r][col] != 0:
-                pivot = r
-                break
+def _echelon(rows):
+    """Fraction-free (Bareiss) elimination of integer rows, in place.
+
+    Returns (rank, sign * last pivot).  Columns without a pivot are skipped
+    and every division by the previous pivot is exact; for a square matrix
+    of full rank the second value is its determinant.
+    """
+    width = len(rows[0]) if rows else 0
+    rank, sign, prev = 0, 1, 1
+    for col in range(width):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for r in range(rank + 1, n_rows):
-            if m[r][col] != 0:
-                factor = m[r][col] / pv
-                for c in range(col, n_cols):
-                    m[r][c] -= factor * m[rank][c]
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            sign = -sign
+        top = rows[rank]
+        for row in rows[rank + 1:]:
+            f = row[col]
+            for j in range(col + 1, width):
+                row[j] = (row[j] * top[col] - f * top[j]) // prev
+        prev = top[col]
         rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    return rank, sign * prev
+
+
+def _integer_rows(rows):
+    """Each row of rationals times the lcm of its denominators; the rank stays."""
+    out = []
+    for xs in rows:
+        scale = math.lcm(*(x.denominator for x in xs))
+        out.append([x.numerator * (scale // x.denominator) for x in xs])
+    return out
 
 
 def nm_rank(A):
     """Ranks of the two split components plus invertibility over K(I)."""
-    first = [[e.real for e in row] for row in A]
-    second = [[e.real + e.indet for e in row] for row in A]
-    r1 = _gauss_rank(first)
-    r2 = _gauss_rank(second)
+    r1 = _echelon(_integer_rows([[e.real for e in row] for row in A]))[0]
+    r2 = _echelon(_integer_rows([[e.real + e.indet for e in row] for row in A]))[0]
     invertible = A.rows == A.cols and r1 == A.rows and r2 == A.rows
     return r1, r2, invertible
+
+
+def _check_guard(what, count, unit, limit):
+    """Raise SizeLimitError when `count` exceeds the `what` search guard."""
+    if count > limit:
+        raise SizeLimitError("%s guard: %d %s exceeds %d" % (what, count, unit, limit))
 
 
 def neutro_dimension(n, base):

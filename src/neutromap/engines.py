@@ -18,14 +18,15 @@ from .core import (
     NotFoundError,
     ONE,
     ShapeError,
-    SizeLimitError,
     ZERO,
     _as_nn,
+    _check_guard,
 )
 
 MINUS_ONE = -ONE
 _WEIGHTS = (ZERO, ONE, MINUS_ONE, I)
 _ACTIVATIONS = (ZERO, ONE, I)
+BALANCE_GUARD = 12  # concepts for the simple-path search in balance
 
 
 def _check_names(names, what):
@@ -259,7 +260,7 @@ def _edge_sign(x):
     return None
 
 
-def balance(model, guard=12):
+def balance(model):
     """Search directed simple paths for same-endpoint sign conflicts.
 
     A pair of paths between the same ordered endpoints conflicts when the
@@ -268,10 +269,7 @@ def balance(model, guard=12):
     ((u, v), (path1, sign1), (path2, sign2)) on imbalance.
     """
     n = model.size
-    if n > guard:
-        raise SizeLimitError(
-            "balance guard: %d concepts exceeds %d" % (n, guard)
-        )
+    _check_guard("balance", n, "concepts", BALANCE_GUARD)
     out = [[] for _ in range(n)]
     for i in range(n):
         for j in range(n):

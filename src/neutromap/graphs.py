@@ -4,16 +4,16 @@ Vertices are indices 0..n-1.  Edges are unordered pairs; parallel edges and
 loops only appear when the corresponding flag is set (contraction creates
 them internally).  Cut vertices and bridges come from one lowpoint
 depth-first search (Hopcroft-Tarjan), spanning-tree counts from Kirchhoff's
-matrix-tree theorem with a fraction-free Bareiss determinant.  Exact
+matrix-tree theorem with the fraction-free elimination of `core`.  Exact
 decision procedures (Hamiltonicity, chromatic number/index) run desk-scale
-backtracking behind documented size guards.
+backtracking behind the size guards below.
 """
 
 import random
 from dataclasses import dataclass
 from itertools import count
 
-from .core import NotFoundError, ShapeError, SizeLimitError
+from .core import NotFoundError, _check_guard, _echelon
 
 
 class Graph:
@@ -80,51 +80,48 @@ class Graph:
         return "Graph(%d, m=%d)" % (self.vertex_count, self.m)
 
 
+# spokes (i, 5+i), outer cycle 5..9, inner chords (i, i+2), in this order
+PETERSEN_EDGES = tuple(
+    [(i, 5 + i) for i in range(5)]
+    + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+    + [(i, (i + 2) % 5) for i in range(5)]
+)
+
+# family -> (least value of each parameter, message when one is below it,
+# parameters -> (vertex count, edges))
+FAMILIES = {
+    "complete": ((1,), "complete graph needs n >= 1",
+                 lambda n: (n, [(u, v) for u in range(n) for v in range(u + 1, n)])),
+    "complete-bipartite": ((1, 1), "complete-bipartite needs both part sizes >= 1",
+                           lambda t, s: (t + s, [(u, t + v) for u in range(t) for v in range(s)])),
+    "cycle": ((3,), "cycle needs n >= 3",
+              lambda n: (n, [(i, (i + 1) % n) for i in range(n)])),
+    "path": ((1,), "path needs n >= 1",
+             lambda n: (n, [(i, i + 1) for i in range(n - 1)])),
+    "star": ((1,), "star needs s >= 1 leaves",
+             lambda s: (s + 1, [(0, i) for i in range(1, s + 1)])),
+    "wheel": ((3,), "wheel needs rim n >= 3",
+              lambda n: (n + 1, [(0, i) for i in range(1, n + 1)]
+                         + [(i, i % n + 1) for i in range(1, n + 1)])),
+    "petersen": ((), None, lambda: (10, PETERSEN_EDGES)),
+}
+
+
 def generate(kind, *params):
     """Canonical instance of a named family.
 
     kinds: complete n | complete-bipartite t s | cycle n | path n | star s |
     wheel n | petersen
     """
-    if kind == "complete":
-        (n,) = params
-        if n < 1:
-            raise ValueError("complete graph needs n >= 1")
-        return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-    if kind == "complete-bipartite":
-        t, s = params
-        if t < 1 or s < 1:
-            raise ValueError("complete-bipartite needs both part sizes >= 1")
-        return Graph(t + s, [(u, t + v) for u in range(t) for v in range(s)])
-    if kind == "cycle":
-        (n,) = params
-        if n < 3:
-            raise ValueError("cycle needs n >= 3")
-        return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-    if kind == "path":
-        (n,) = params
-        if n < 1:
-            raise ValueError("path needs n >= 1")
-        return Graph(n, [(i, i + 1) for i in range(n - 1)])
-    if kind == "star":
-        (s,) = params
-        if s < 1:
-            raise ValueError("star needs s >= 1 leaves")
-        return Graph(s + 1, [(0, i) for i in range(1, s + 1)])
-    if kind == "wheel":
-        (n,) = params
-        if n < 3:
-            raise ValueError("wheel needs rim n >= 3")
-        rim = [(i, i % n + 1) for i in range(1, n + 1)]
-        return Graph(n + 1, [(0, i) for i in range(1, n + 1)] + rim)
-    if kind == "petersen":
-        if params:
-            raise ValueError("petersen takes no parameters")
-        spokes = [(i, 5 + i) for i in range(5)]
-        outer = [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
-        inner = [(i, (i + 2) % 5) for i in range(5)]
-        return Graph(10, spokes + outer + inner)
-    raise ValueError("unknown graph family %r" % (kind,))
+    if kind not in FAMILIES:
+        raise ValueError("unknown graph family %r" % (kind,))
+    least, message, build = FAMILIES[kind]
+    if len(params) != len(least):
+        raise ValueError("%s takes %d parameter%s, got %d" % (
+            kind, len(least), "" if len(least) == 1 else "s", len(params)))
+    if any(p < m for p, m in zip(params, least)):
+        raise ValueError(message)
+    return Graph(*build(*params))
 
 
 @dataclass(frozen=True)
@@ -263,31 +260,30 @@ def metrics(G):
     elif parallel:
         girth = 2
     else:
+        # from each source, an edge inside BFS layer d bounds the girth by 2d+1,
+        # and a vertex in layer d with two neighbours in layer d-1 bounds it by
+        # 2d; both bounds are tight from a source on a shortest cycle
         best = None
-        for s in range(n):
-            dist = [None] * n
-            parent = [None] * n
-            dist[s] = 0
-            queue = [s]
-            head = 0
-            while head < len(queue):
-                x = queue[head]
-                head += 1
-                for y in adj[x]:
-                    if dist[y] is None:
-                        dist[y] = dist[x] + 1
-                        parent[y] = x
-                        queue.append(y)
-                    elif parent[x] != y:
-                        cand = dist[x] + dist[y] + 1
-                        if best is None or cand < best:
-                            best = cand
+        for dist in dists:
+            closer = [0] * n  # neighbours one layer nearer to the source
+            for u, v in G.edges:
+                if dist[u] is None:
+                    continue
+                if dist[u] == dist[v]:
+                    cand = 2 * dist[u] + 1
+                else:
+                    w = u if dist[u] > dist[v] else v
+                    closer[w] += 1
+                    if closer[w] < 2:
+                        continue
+                    cand = 2 * dist[w]
+                if best is None or cand < best:
+                    best = cand
         girth = best
 
     circumference = _longest_cycle_length(n, adj, 2 if parallel else 1 if loop else None)
-    diameter = None
-    if n > 0 and len(_components(n, adj)) == 1:
-        diameter = max(d for row in dists for d in row)
+    connected = n > 0 and None not in dists[0]
+    diameter = max(map(max, dists)) if connected else None
     return MetricsReport(dists, girth, circumference, diameter)
 
 
@@ -517,7 +513,15 @@ def eulerian(G):
     return True, tour
 
 
-def hamiltonian(G, guard=14):
+# desk-scale limits of the exact searches, and the Tutte test's field and tries
+HAMILTONIAN_GUARD = 14  # vertices
+COLORING_VERTEX_GUARD = 14  # vertices
+COLORING_EDGE_GUARD = 20  # edges
+TUTTE_REPS = 20
+TUTTE_PRIME = 2**31 - 1
+
+
+def hamiltonian(G):
     """Bondy-Chvatal closure plus exact spanning-cycle search.
 
     Returns (closure, is_hamiltonian, cycle-or-None).  Beyond the guard the
@@ -546,12 +550,9 @@ def hamiltonian(G, guard=14):
     closure = Graph(n, closure_edges)
     complete = len(closure_edges) == n * (n - 1) // 2
 
-    if n > guard:
-        if complete:
-            return closure, True, None
-        raise SizeLimitError(
-            "hamiltonian search guard: %d vertices exceeds %d" % (n, guard)
-        )
+    if complete and n > HAMILTONIAN_GUARD:
+        return closure, True, None
+    _check_guard("hamiltonian search", n, "vertices", HAMILTONIAN_GUARD)
 
     adj = G.adjacency()
     cycle = _ham_cycle(n, adj)
@@ -594,23 +595,17 @@ class ColoringReport:
     edge_colors: tuple
 
 
-def coloring(G, vertex_guard=14, edge_guard=20):
+def coloring(G):
     """Exact chromatic number and chromatic index with assignments."""
     if any(u == v for u, v in G.edges):
         raise ValueError("coloring is undefined on graphs with loops")
     n = G.vertex_count
     simple_edges = sorted(set(G.edges))
 
-    if n > vertex_guard:
-        raise SizeLimitError(
-            "vertex coloring guard: %d vertices exceeds %d" % (n, vertex_guard)
-        )
+    _check_guard("vertex coloring", n, "vertices", COLORING_VERTEX_GUARD)
     chi, vcolors = _chromatic(n, simple_edges)
 
-    if len(G.edges) > edge_guard:
-        raise SizeLimitError(
-            "edge coloring guard: %d edges exceeds %d" % (len(G.edges), edge_guard)
-        )
+    _check_guard("edge coloring", len(G.edges), "edges", COLORING_EDGE_GUARD)
     chi_e, ecolors = _edge_chromatic(G)
     return ColoringReport(chi, tuple(vcolors), chi_e, tuple(ecolors))
 
@@ -844,7 +839,8 @@ def _tree_poly(n):
 def spanning_tree_count(G):
     """tau(G) as a Laplacian cofactor; loops ignored, parallel edges counted."""
     n = G.vertex_count
-    if n == 0:
+    # the cofactor is singular exactly when G is disconnected: skip elimination
+    if n == 0 or len(_components(n, G.adjacency())) > 1:
         return 0
     L = [[0] * n for _ in range(n)]
     for u, v in G.edges:
@@ -853,33 +849,10 @@ def spanning_tree_count(G):
             L[v][v] += 1
             L[u][v] -= 1
             L[v][u] -= 1
-    return _bareiss_det([row[1:] for row in L[1:]])
+    return _echelon([row[1:] for row in L[1:]])[1]
 
 
-def _bareiss_det(A):
-    """Integer determinant by Bareiss elimination; A is consumed.
-
-    Each division by the previous pivot is exact.  The empty matrix gives 1.
-    """
-    n = len(A)
-    sign, prev = 1, 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if A[r][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            A[k], A[pivot] = A[pivot], A[k]
-            sign = -sign
-        top = A[k]
-        for row in A[k + 1:]:
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * top[k] - f * top[j]) // prev
-        prev = top[k]
-    return sign * prev
-
-
-def tutte(G, seed=0, reps=20, prime=2**31 - 1):
+def tutte(G, seed=0):
     """Tutte matrix plus a randomized 1-factor decision.
 
     The matrix is returned as rows of strings ('0', 'x13', '-x13').  The
@@ -901,13 +874,13 @@ def tutte(G, seed=0, reps=20, prime=2**31 - 1):
     if n == 0:
         return matrix, True
     rng = random.Random(seed)
-    for _ in range(reps):
-        vals = {e: rng.randrange(1, prime) for e in G.edges}
+    for _ in range(TUTTE_REPS):
+        vals = {e: rng.randrange(1, TUTTE_PRIME) for e in G.edges}
         T = [[0] * n for _ in range(n)]
         for (u, v), x in vals.items():
             T[u][v] = x
-            T[v][u] = (-x) % prime
-        if _det_mod(T, prime) != 0:
+            T[v][u] = (-x) % TUTTE_PRIME
+        if _det_mod(T, TUTTE_PRIME) != 0:
             return matrix, True
     return matrix, False
 

@@ -7,12 +7,14 @@ indeterminacy bookkeeping on top.
 """
 
 from dataclasses import dataclass
+from itertools import permutations
 
 from . import graphs
-from .core import I, NeutroMatrix, ShapeError, SizeLimitError, ZERO, ONE
+from .core import I, NeutroMatrix, ShapeError, ZERO, ONE, _check_guard
 
 
 _TAGS = ("R", "I")
+ISOMORPHISM_GUARD = 10  # vertices for the brute-force neutro_isomorphic
 
 
 class NeutroGraph:
@@ -67,11 +69,11 @@ class NeutroGraph:
         return "v%d" % (v + 1)
 
     def underlying(self):
-        """The plain graph obtained by forgetting tags and vertex kinds."""
+        """The plain graph left by forgetting tags, vertex kinds and arc directions."""
         return graphs.Graph(
             self.vertex_count,
             [(u, v) for u, v, _t in self.edges],
-            self.allow_multi,
+            self.allow_multi or self.directed,
             self.allow_loops,
         )
 
@@ -294,7 +296,8 @@ def neutro_tree(G):
     """
     U = G.underlying()
     n = U.vertex_count
-    comps = graphs.connectivity(U).components
+    adj = U.adjacency()
+    comps = graphs._components(n, adj)
     connected = len(comps) <= 1
     loops = any(u == v for u, v, _t in G.edges)
     acyclic = not loops and U.m == n - len(comps)
@@ -303,8 +306,8 @@ def neutro_tree(G):
     indet = list(range(G.n_real, G.vertex_count))
     if not indet or not connected:
         return NeutroTreeReport(is_tree, None, None, None, None)
-    dist = graphs.metrics(U).distances
-    ecc = tuple(max(dist[v][w] for w in indet) for v in indet)
+    dists = [graphs._bfs_dist(n, adj, v) for v in indet]
+    ecc = tuple(max(dist[w] for w in indet) for dist in dists)
     radius = min(ecc)
     diameter = max(ecc)
     center = tuple(v for v, e in zip(indet, ecc) if e == radius)
@@ -326,14 +329,15 @@ def neutro_eulerian(G):
 NeutroColoringReport = graphs.ColoringReport
 
 
-def neutro_coloring(G, vertex_guard=14, edge_guard=20):
+def neutro_coloring(G):
     """Neutrosophic chromatic number and index.
 
     Only real-real adjacency through a real edge constrains vertex colors;
     indeterminate vertices and indeterminate edges never force a conflict,
     so chi_N equals chi of the real-vertex/real-edge induced graph.  The
     edge variant likewise colors only the real edges properly.  Unconstrained
-    vertices and edges are assigned color 0.
+    vertices and edges are assigned color 0.  On a directed graph an arc and
+    its reverse are one adjacency and share a color.
     """
     if any(u == v for u, v, _t in G.edges):
         raise ValueError("coloring is undefined on graphs with loops")
@@ -341,49 +345,32 @@ def neutro_coloring(G, vertex_guard=14, edge_guard=20):
 
     real_edges = sorted(
         {
-            (u, v)
+            (u, v) if u < v else (v, u)
             for u, v, t in G.edges
             if t == "R" and not G.is_indet_vertex(u) and not G.is_indet_vertex(v)
         }
     )
-    if G.n_real > vertex_guard:
-        raise SizeLimitError(
-            "vertex coloring guard: %d vertices exceeds %d" % (G.n_real, vertex_guard)
-        )
+    _check_guard("vertex coloring", G.n_real, "vertices", graphs.COLORING_VERTEX_GUARD)
     chi, real_colors = graphs._chromatic(G.n_real, real_edges)
     vertex_colors = tuple(
         real_colors[v] if v < G.n_real else 0 for v in range(n)
     )
 
-    real_sub = [(u, v) for u, v, t in G.edges if t == "R"]
-    if len(real_sub) > edge_guard:
-        raise SizeLimitError(
-            "edge coloring guard: %d edges exceeds %d" % (len(real_sub), edge_guard)
-        )
-    sub = graphs.Graph(n, real_sub, allow_multi=G.allow_multi)
-    chi_e, sub_colors = graphs._edge_chromatic(sub)
-    pool = {}
-    for e, c in zip(sub.edges, sub_colors):
-        pool.setdefault(e, []).append(c)
-    edge_colors = []
-    for u, v, t in G.edges:
+    # copy k of a real arc and copy k of its reverse are one edge; copies count
+    # down from -1, so that the first copy takes the last color of its edge
+    copies = {}
+    slots = {}  # index of each real arc -> (edge, copy)
+    for i, (u, v, t) in enumerate(G.edges):
         if t == "R":
-            edge_colors.append(pool[(u, v)].pop())
-        else:
-            edge_colors.append(0)
-    return graphs.ColoringReport(chi, vertex_colors, chi_e, tuple(edge_colors))
-
-
-_PETERSEN_VERTEX_ORDER = tuple(range(10))  # inner pentagon 0..4 first
-
-
-def _petersen_edge_order():
-    spokes = [(i, 5 + i) for i in range(5)]
-    outer = [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
-    outer = [(u, v) if u <= v else (v, u) for u, v in outer]
-    chords = [(i, (i + 2) % 5) for i in range(5)]
-    chords = [(u, v) if u <= v else (v, u) for u, v in chords]
-    return spokes + outer + chords
+            copies[u, v] = copies.get((u, v), 0) - 1
+            slots[i] = ((u, v) if u < v else (v, u), copies[u, v])
+    real_sub = sorted(set(slots.values()))
+    _check_guard("edge coloring", len(real_sub), "edges", graphs.COLORING_EDGE_GUARD)
+    sub = graphs.Graph(n, [e for e, _k in real_sub], allow_multi=G.allow_multi)
+    chi_e, sub_colors = graphs._edge_chromatic(sub)
+    color_of = dict(zip(real_sub, sub_colors))
+    edge_colors = tuple(color_of[slots[i]] if i in slots else 0 for i in range(G.m))
+    return graphs.ColoringReport(chi, vertex_colors, chi_e, edge_colors)
 
 
 def neutro_petersen(kind, *params):
@@ -395,28 +382,29 @@ def neutro_petersen(kind, *params):
     chords); marked vertices are then reindexed after the real ones,
     preserving relative order, and become N1..Nk.
     """
+    if kind not in ("vertex", "edge", "strong"):
+        raise ValueError("unknown petersen kind %r" % (kind,))
+    if len(params) != (2 if kind == "strong" else 1):
+        raise ValueError("strong variant takes j and k" if kind == "strong"
+                         else "%s variant takes exactly one k" % (kind,))
     if kind == "vertex":
-        (k,) = params
-        j, k = k, 0
+        j, k = params[0], 0
         if not 1 <= j <= 10:
             raise ValueError("vertex count k must satisfy 1 <= k <= 10")
     elif kind == "edge":
-        (k,) = params
-        j = 0
+        j, k = 0, params[0]
         if not 1 <= k <= 15:
             raise ValueError("edge count k must satisfy 1 <= k <= 15")
-    elif kind == "strong":
+    else:
         j, k = params
         if not 1 <= j <= 10:
             raise ValueError("vertex count j must satisfy 1 <= j <= 10")
         if not 1 <= k <= 15:
             raise ValueError("edge count k must satisfy 1 <= k <= 15")
-    else:
-        raise ValueError("unknown petersen kind %r" % (kind,))
 
-    order = _petersen_edge_order()
     tagged = [
-        (u, v, "I" if idx < k else "R") for idx, (u, v) in enumerate(order)
+        (u, v, "I" if idx < k else "R")
+        for idx, (u, v) in enumerate(graphs.PETERSEN_EDGES)
     ]
     indet = set(range(j))
     real = [v for v in range(10) if v not in indet]
@@ -426,14 +414,10 @@ def neutro_petersen(kind, *params):
     return NeutroGraph(len(real), j, edges)
 
 
-def neutro_isomorphic(G1, G2, guard=10):
+def neutro_isomorphic(G1, G2):
     """Brute-force neutro isomorphism: real->real, indet->indet, tags kept."""
-    from itertools import permutations
-
-    if G1.vertex_count > guard or G2.vertex_count > guard:
-        raise SizeLimitError(
-            "isomorphism guard: order above %d" % (guard,)
-        )
+    order = max(G1.vertex_count, G2.vertex_count)
+    _check_guard("isomorphism", order, "vertices", ISOMORPHISM_GUARD)
     if (
         G1.n_real != G2.n_real
         or G1.n_indet != G2.n_indet

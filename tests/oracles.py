@@ -2,7 +2,8 @@
 # here imports the package under test; the code paths are deliberately
 # different from the shipped algorithms (deletion-contraction tree counts vs
 # the library's matrix-tree theorem, Floyd-Warshall vs repeated squaring,
-# plain int FCM vs the exact engine).  matrix_tree_count below shares the
+# plain int FCM vs the exact engine, Fraction Gaussian elimination vs the
+# library's fraction-free ranks).  matrix_tree_count below shares the
 # library's algorithm but none of its code.
 
 import itertools
@@ -160,6 +161,35 @@ def crisp_fcm_run(M, s0, clamp):
         seen[nxt] = len(traj)
         traj.append(nxt)
         state = nxt
+
+
+# --- rank by Gaussian elimination over Fraction --------------------------
+
+
+def gauss_rank(rows):
+    m = [list(r) for r in rows]
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
+    rank = 0
+    for col in range(n_cols):
+        pivot = None
+        for r in range(rank, n_rows):
+            if m[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pv = m[rank][col]
+        for r in range(rank + 1, n_rows):
+            if m[r][col] != 0:
+                factor = m[r][col] / pv
+                for c in range(col, n_cols):
+                    m[r][c] -= factor * m[rank][c]
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
 
 
 # --- spanning trees via the matrix-tree theorem (Bareiss) ----------------

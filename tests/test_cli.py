@@ -97,6 +97,15 @@ class TestExitCodes:
         )
         assert code == 4 and "error:" in err
 
+    def test_generator_parameter_count(self, capsys):
+        for name, message in (
+            ("cycle-3-4", "cycle takes 1 parameter, got 2"),
+            ("complete-bipartite-2", "complete-bipartite takes 2 parameters, got 1"),
+            ("complete", "complete takes 1 parameter, got 0"),
+            ("petersen-3", "petersen takes 0 parameters, got 1"),
+        ):
+            assert run(capsys, "graph", "analyze", name) == (1, "", "error: %s\n" % message)
+
     def test_no_arguments_is_a_usage_error(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
@@ -174,6 +183,17 @@ class TestNgraphCommands:
         _, out, _ = run(capsys, "ngraph", "color", fx("fig-3.2.8-NA.model"))
         assert "neutrosophic chromatic number: 3" in out
         assert "neutrosophic edge chromatic number: 3" in out
+
+    def test_color_directed_opposite_arcs(self, capsys, tmp_path):
+        model = tmp_path / "pair.model"
+        model.write_text(
+            "neutromap-model 1\nkind neutro-graph\n3 0 3 1\n0 1 R\n1 0 R\n2 1 R\n"
+        )
+        code, out, err = run(capsys, "ngraph", "color", str(model))
+        assert (code, err) == (0, "")
+        assert "neutrosophic chromatic number: 2" in out
+        assert "neutrosophic edge chromatic number: 2" in out
+        assert "edge colors: v1-v2=0 v2-v1=0 v3-v2=1" in out
 
     def test_petersen_model_output(self, capsys):
         code, out, _ = run(capsys, "ngraph", "petersen", "vertex", "3")

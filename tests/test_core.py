@@ -168,6 +168,20 @@ class TestMatrix:
         # 1-I is a zero divisor: second component vanishes
         assert nm_rank(NeutroMatrix([[ONE - I]])) == (1, 0, False)
 
+    @settings(deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_rank_matches_fraction_elimination(self, r, c, data):
+        entry = st.one_of(st.just(ZERO), st.just(I), st.just(ONE - I), numbers_st)
+        row = st.lists(entry, min_size=c, max_size=c)
+        rows = data.draw(st.lists(row, min_size=r, max_size=r))
+        if r >= 3 and data.draw(st.booleans()):
+            k = data.draw(numbers_st)  # a dependent row makes the rank short
+            rows[0] = [x + k * y for x, y in zip(rows[1], rows[2])]
+        r1, r2, invertible = nm_rank(NeutroMatrix(rows))
+        assert r1 == oracles.gauss_rank([[e.real for e in w] for w in rows])
+        assert r2 == oracles.gauss_rank([[e.real + e.indet for e in w] for w in rows])
+        assert invertible == (r == c == r1 == r2)
+
     def test_render_parse_round_trip(self):
         A = parse_matrix("2-6I, -1+4I\n0.5, 1/3")
         assert parse_matrix(render_matrix(A)) == A

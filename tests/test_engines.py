@@ -346,8 +346,9 @@ class TestBalance:
         assert "I" in (sign1, sign2)
 
     def test_size_guard(self):
-        with pytest.raises(SizeLimitError):
-            balance(concept_model(goldens.CHILD_E), guard=5)
+        ring = [[1 if j == (i + 1) % 13 else 0 for j in range(13)] for i in range(13)]
+        with pytest.raises(SizeLimitError, match="balance guard: 13 concepts exceeds 12"):
+            balance(concept_model(ring))
 
 
 class TestFrmConvertible:

@@ -1,8 +1,12 @@
 """Unit tests for the classical graph layer."""
 
+import math
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neutromap.core import SizeLimitError
 from neutromap.graphs import (
@@ -23,6 +27,7 @@ from neutromap.graphs import (
     metrics,
     spanning_tree_count,
     tutte,
+    PETERSEN_EDGES,
 )
 from neutromap.core import NotFoundError
 
@@ -66,6 +71,18 @@ class TestGenerate:
             generate("cycle", 2)
         with pytest.raises(ValueError):
             generate("moebius", 5)
+
+    def test_parameter_count_is_named(self):
+        with pytest.raises(ValueError, match="^cycle takes 1 parameter, got 2$"):
+            generate("cycle", 3, 4)
+        with pytest.raises(ValueError, match="^complete-bipartite takes 2 parameters, got 1$"):
+            generate("complete-bipartite", 2)
+        with pytest.raises(ValueError, match="^petersen takes 0 parameters, got 1$"):
+            generate("petersen", 3)
+
+    def test_petersen_edges_list_the_generated_graph(self):
+        assert Graph(10, PETERSEN_EDGES) == generate("petersen")
+        assert PETERSEN_EDGES[:5] == tuple((i, 5 + i) for i in range(5))
 
     def test_wheel_is_hub_plus_rim(self):
         W = generate("wheel", 5)
@@ -168,6 +185,18 @@ class TestMetrics:
 
     def test_disconnected_diameter_is_none(self):
         assert metrics(Graph(4, [(0, 1)])).diameter is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10), st.data())
+    def test_girth_matches_networkx(self, n, data):
+        nx = pytest.importorskip("networkx")
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=20)) if pairs else []
+        H = nx.Graph()
+        H.add_nodes_from(range(n))
+        H.add_edges_from(edges)
+        girth = nx.girth(H)
+        assert metrics(Graph(n, edges)).girth == (None if girth == math.inf else girth)
 
     def test_distances(self):
         r = metrics(generate("cycle", 4))
@@ -419,6 +448,28 @@ class TestSpanningTrees:
         assert spanning_tree_count(G) == 2 * 3 + 2 * 1 + 3 * 1
         assert spanning_tree_count(G) == oracles.deletion_contraction_tree_count(3, edges)
         assert spanning_tree_count(G) == oracles.matrix_tree_count(3, edges)
+
+    def test_matches_networkx_on_multigraphs(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(29)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            edges = [
+                (rng.randrange(n), rng.randrange(n))
+                for _ in range(rng.randint(0, 3 * n))
+            ]
+            H = nx.MultiGraph()
+            H.add_nodes_from(range(n))
+            H.add_edges_from(edges)
+            G = Graph(n, edges, allow_multi=True, allow_loops=True)
+            assert spanning_tree_count(G) == round(nx.number_of_spanning_trees(H))
+
+    def test_large_disconnected_graph_needs_no_elimination(self):
+        # vertex 1 is isolated; the 300x300 cofactor is never eliminated
+        G = Graph(300, [(0, 2)] + [(i, i + 1) for i in range(2, 299)])
+        start = time.perf_counter()
+        assert spanning_tree_count(G) == 0
+        assert time.perf_counter() - start < 1.0
 
     def test_torus_c6_by_c4(self):
         G = combine("cartesian-product", generate("cycle", 6), generate("cycle", 4))

@@ -1,5 +1,7 @@
 """Unit tests for neutrosophic graphs."""
 
+import time
+
 import pytest
 
 from neutromap.core import NeutroMatrix, NeutroNumber, SizeLimitError
@@ -194,6 +196,14 @@ class TestTree:
         assert r.is_neutro_tree is False
         assert r.eccentricities is None
 
+    def test_dense_graph_needs_no_cycle_search(self):
+        # K11 with one indeterminate vertex: only distances are needed
+        G = NeutroGraph(10, 1, [(u, v, "R") for u in range(11) for v in range(u + 1, 11)])
+        start = time.perf_counter()
+        r = neutro_tree(G)
+        assert time.perf_counter() - start < 1.0
+        assert (r.is_neutro_tree, r.eccentricities, r.neutro_center) == (False, (0,), (10,))
+
     def test_disconnected_is_not_a_tree(self):
         G = NeutroGraph(2, 2, [(0, 2, "I")])
         assert neutro_tree(G).is_neutro_tree is False
@@ -249,6 +259,47 @@ class TestColoring:
         with pytest.raises(ValueError):
             neutro_coloring(G)
 
+    def test_arc_and_reverse_share_a_color(self):
+        G = NeutroGraph(3, 0, [(0, 1, "R"), (1, 0, "R"), (1, 2, "R")], directed=True)
+        r = neutro_coloring(G)
+        assert r.chromatic_number == 2
+        assert r.edge_chromatic_number == 2
+        colors = dict(zip(G.edges, r.edge_colors))
+        assert colors[(0, 1, "R")] == colors[(1, 0, "R")] != colors[(1, 2, "R")]
+
+    def test_arcs_against_the_vertex_order(self):
+        G = NeutroGraph(3, 0, [(1, 0, "R"), (2, 1, "R"), (0, 2, "I")], directed=True)
+        r = neutro_coloring(G)
+        assert (r.chromatic_number, r.edge_chromatic_number) == (2, 2)
+        assert G.edges[0] == (0, 2, "I") and r.edge_colors[0] == 0
+        assert r.edge_colors[1] != r.edge_colors[2]
+
+
+class TestOppositeArcs:
+    # a directed graph holding both 0 -> 1 and 1 -> 0, plus an arc to N1
+    G = NeutroGraph(2, 1, [(0, 1, "R"), (1, 0, "I"), (1, 2, "R")], directed=True)
+
+    def test_underlying_keeps_both_as_parallel_edges(self):
+        assert self.G.underlying().edges == ((0, 1), (0, 1), (1, 2))
+
+    def test_degree_report(self):
+        r = neutro_degree_report(self.G)
+        assert r.degrees == (1,) and r.pendent == (2,)
+
+    def test_components(self):
+        comps, neutro, disconnected = neutro_components(self.G)
+        assert comps == ((0, 1, 2),) and neutro == comps and not disconnected
+
+    def test_tree(self):
+        # the two arcs close a cycle of length 2 in the underlying multigraph
+        r = neutro_tree(self.G)
+        assert r.is_neutro_tree is False and r.eccentricities == (0,)
+
+    def test_eulerian(self):
+        assert neutro_eulerian(self.G) == (False, False)
+        ring = NeutroGraph(1, 1, [(0, 1, "R"), (1, 0, "I")], directed=True)
+        assert neutro_eulerian(ring) == (True, True)
+
 
 class TestPetersen:
     def test_edge_order_matches_canonical_listing(self):
@@ -281,6 +332,12 @@ class TestPetersen:
         assert sum(1 for _u, _v, t in G.edges if t == "I") == 2
         assert classify(G) == "strong"
 
+    def test_parameter_count_is_named(self):
+        with pytest.raises(ValueError, match="^vertex variant takes exactly one k$"):
+            neutro_petersen("vertex", 1, 2)
+        with pytest.raises(ValueError, match="^strong variant takes j and k$"):
+            neutro_petersen("strong", 1)
+
     def test_parameter_ranges(self):
         with pytest.raises(ValueError):
             neutro_petersen("vertex", 0)
@@ -310,9 +367,9 @@ class TestIsoOriented:
         assert neutro_isomorphic(H1, H2)[0] is False
 
     def test_guard(self):
-        big = neutro_petersen("vertex", 1)
-        with pytest.raises(SizeLimitError):
-            neutro_isomorphic(big, big, guard=9)
+        big = NeutroGraph(10, 1, [(i, i + 1, "R") for i in range(10)])
+        with pytest.raises(SizeLimitError, match="isomorphism guard: 11 vertices exceeds 10"):
+            neutro_isomorphic(big, big)
 
     def test_oriented(self):
         sym = NeutroGraph(1, 2, [(1, 2, "I"), (2, 1, "I")], directed=True)
