@@ -11,6 +11,7 @@ error, 4 size-guard violation, 5 unknown name/file.
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -448,7 +449,9 @@ def _cmd_export_dot(args, fmt):
 
 # -------------------------------------------------------------------- main
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="neutromap",
         description="Neutrosophic graphs, relations and cognitive maps.",

@@ -6,12 +6,18 @@ this module.  The ring K(I) has zero divisors (I*(1-I) = 0), which is why
 rank and invertibility go through the componentwise splitting isomorphism
 a+bI -> (a, a+b) instead of direct elimination: each split component is
 scaled to integers and ranked by fraction-free (Bareiss) elimination.
+Products use the same split, since it turns (a+bI)(c+dI) into the
+componentwise product (ac, (a+b)(c+d)): each row of the left operand and
+each column of the right one is scaled to integers by one lcm, the two
+components are multiplied with plain integer sums, and every entry is
+rescaled once into exact Fractions before it is unsplit.
 """
 
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 
 class ShapeError(ValueError):
@@ -281,19 +287,23 @@ class NeutroMatrix:
 
 
 def nm_mul(A, B):
+    """Exact product over K(I) by the integer split kernel (module docstring)."""
     if A.cols != B.rows:
         raise ShapeError(
             "cannot multiply %dx%d by %dx%d" % (A.rows, A.cols, B.rows, B.cols)
         )
+    a1, a2, s = _split_integer_rows(A)
+    b1, b2, t = _split_integer_rows(zip(*B))
     out = []
-    for i in range(A.rows):
-        arow = A.row(i)
+    for x1, x2, si in zip(a1, a2, s):
         row = []
-        for j in range(B.cols):
-            acc = ZERO
-            for k in range(A.cols):
-                acc = acc + arow[k] * B.entry(k, j)
-            row.append(acc)
+        for y1, y2, tj in zip(b1, b2, t):
+            first = sum(map(mul, x1, y1))
+            second = sum(map(mul, x2, y2))
+            scale = si * tj
+            row.append(
+                NeutroNumber(Fraction(first, scale), Fraction(second - first, scale))
+            )
         out.append(row)
     return NeutroMatrix(out)
 
@@ -329,18 +339,37 @@ def _echelon(rows):
 
 
 def _integer_rows(rows):
-    """Each row of rationals times the lcm of its denominators; the rank stays."""
-    out = []
+    """Each row of rationals times the lcm of its denominators, and that lcm.
+
+    Returns (integer rows, scales); scaling a row keeps the rank.
+    """
+    out, scales = [], []
     for xs in rows:
         scale = math.lcm(*(x.denominator for x in xs))
         out.append([x.numerator * (scale // x.denominator) for x in xs])
-    return out
+        scales.append(scale)
+    return out, scales
+
+
+def _split_integer_rows(rows):
+    """Split a+bI rows into integer rows (a...) and (a+b...) with one scale each.
+
+    Each row's real and indeterminate parts share one lcm, so both split
+    components of row i are its exact values times scales[i].
+    """
+    ints, scales = _integer_rows(
+        [[e.real for e in r] + [e.indet for e in r] for r in rows]
+    )
+    k = len(ints[0]) // 2
+    firsts = [r[:k] for r in ints]
+    seconds = [[a + b for a, b in zip(r[:k], r[k:])] for r in ints]
+    return firsts, seconds, scales
 
 
 def nm_rank(A):
     """Ranks of the two split components plus invertibility over K(I)."""
-    r1 = _echelon(_integer_rows([[e.real for e in row] for row in A]))[0]
-    r2 = _echelon(_integer_rows([[e.real + e.indet for e in row] for row in A]))[0]
+    firsts, seconds, _ = _split_integer_rows(A)
+    r1, r2 = _echelon(firsts)[0], _echelon(seconds)[0]
     invertible = A.rows == A.cols and r1 == A.rows and r2 == A.rows
     return r1, r2, invertible
 

@@ -226,7 +226,9 @@ def cm_run(model, s0, clamp=None):
     state = _clampfix(s, clamp)
     trajectory = [state]
     seen = {state: 0}
-    for _ in range(3**n + 1):
+    # Ends by pigeonhole: states are n-tuples over {0, 1, I}, so one repeats
+    # within 3**n + 1 steps.
+    while True:
         state = _clampfix(
             tuple(threshold(x) for x in _row_times(state, model.weights)), clamp
         )
@@ -241,7 +243,6 @@ def cm_run(model, s0, clamp=None):
                 )
             return pattern, tuple(trajectory)
         seen[state] = len(trajectory) - 1
-    raise AssertionError("state space exhausted without a repeat")
 
 
 def degrade(model):
@@ -350,7 +351,9 @@ def rm_run(model, s0, side="domain", clamp=None):
     pair = (A, B) if side == "domain" else (B, A)
     trajectory = [pair]
     seen = {pair: 0}
-    for _ in range(3 ** (m + n) + 1):
+    # Ends by pigeonhole: pairs are (m+n)-tuples over {0, 1, I}, so one
+    # repeats within 3**(m+n) + 1 steps.
+    while True:
         B = tuple(threshold(x) for x in _row_times(A, M))
         A = _clampfix(tuple(threshold(x) for x in _row_times(B, MT)), clamp)
         pair = (A, B) if side == "domain" else (B, A)
@@ -364,7 +367,6 @@ def rm_run(model, s0, side="domain", clamp=None):
                 tuple(trajectory),
             )
         seen[pair] = len(trajectory) - 1
-    raise AssertionError("pair space exhausted without a repeat")
 
 
 def _project_pattern(states, first):

@@ -6,10 +6,17 @@ convention: zero annihilates min, indeterminacy otherwise propagates
 through min, and max picks the larger magnitude with ties broken toward
 the real value.  Property predicates are three-valued: a threshold
 comparison against an indeterminate entry makes that clause indeterminate.
+
+Composition, closure, transitivity and joins run on integer rank codes
+(`_rank_codes`), whose integer order is lattice_max's order and whose
+bitwise AND is lattice_min, so a max-min product is `max` over `&` of
+Python integers.  Grades are encoded once and results decoded once, back
+to the exact Fraction-valued grades.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import and_
 
 from .core import (
     NotFoundError,
@@ -243,6 +250,47 @@ def inverse(R):
     )
 
 
+def _magnitude_key(v):
+    # an integer pair: hashing the Fraction itself costs several times as much
+    return v.magnitude.numerator, v.magnitude.denominator
+
+
+def _rank_codes(*relations):
+    """Integer codes for the grades of `relations`: (code matrices, decode).
+
+    Zero is coded 0.  A grade whose magnitude has rank k among the distinct
+    nonzero magnitudes is coded ((1 << k) - 1) << 1, plus 1 when it is real.
+    Codes order like lattice_max (magnitude first, then real over
+    indeterminate); the AND of two codes keeps the shorter run of ones, and
+    the real bit only when both grades are real, which is lattice_min, zero
+    annihilation included.  `decode` maps the codes of both variants of
+    every magnitude back to grades.
+    """
+    grids = [R.values for R in relations]
+    keys = {_magnitude_key(v) for g in grids for row in g for v in row} - {(0, 1)}
+    by_mag, decode = {(0, 1): (0, 0)}, {0: FZERO}
+    for k, (num, den) in enumerate(sorted(keys, key=lambda p: Fraction(*p)), 1):
+        ones = ((1 << k) - 1) << 1
+        by_mag[num, den] = (ones | 1, ones)  # indexed by the indeterminate flag
+        decode[ones | 1] = FuzzyNeutroValue(Fraction(num, den))
+        decode[ones] = FuzzyNeutroValue(Fraction(num, den), True)
+    codes = [
+        [[by_mag[_magnitude_key(v)][v.indeterminate] for v in row] for row in g]
+        for g in grids
+    ]
+    return codes, decode
+
+
+def _compose_codes(P, Q):
+    """Max-min product of two code matrices: max over t of p_it & q_tj."""
+    cols = list(zip(*Q))
+    return [[max(map(and_, row, col)) for col in cols] for row in P]
+
+
+def _decoded(rows, decode):
+    return [[decode[c] for c in row] for row in rows]
+
+
 def maxmin_compose(P, Q):
     """r_ij = max_k min(p_ik, q_kj) under the lattice operations."""
     if P.col_labels != Q.row_labels:
@@ -251,18 +299,9 @@ def maxmin_compose(P, Q):
             % (len(P.col_labels), list(P.col_labels),
                len(Q.row_labels), list(Q.row_labels))
         )
-    m, k = P.shape
-    _k, n = Q.shape
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(n):
-            acc = FZERO
-            for t in range(k):
-                acc = lattice_max(acc, lattice_min(P.values[i][t], Q.values[t][j]))
-            row.append(acc)
-        out.append(row)
-    return FuzzyNeutroRelation(P.row_labels, Q.col_labels, out)
+    (Pc, Qc), decode = _rank_codes(P, Q)
+    out = _compose_codes(Pc, Qc)
+    return FuzzyNeutroRelation(P.row_labels, Q.col_labels, _decoded(out, decode))
 
 
 def relational_join(P, Q):
@@ -272,11 +311,12 @@ def relational_join(P, Q):
             "join needs matching middle labels: %r vs %r"
             % (list(P.col_labels), list(Q.row_labels))
         )
+    (Pc, Qc), decode = _rank_codes(P, Q)
     table = {}
-    for i, x in enumerate(P.row_labels):
-        for j, y in enumerate(P.col_labels):
-            for l, z in enumerate(Q.col_labels):
-                table[(x, y, z)] = lattice_min(P.values[i][j], Q.values[j][l])
+    for x, prow in zip(P.row_labels, Pc):
+        for y, p, qrow in zip(P.col_labels, prow, Qc):
+            for z, q in zip(Q.col_labels, qrow):
+                table[(x, y, z)] = decode[p & q]
     return table
 
 
@@ -294,11 +334,6 @@ def _at_least(v, threshold):
     if v.indeterminate:
         return INDETERMINATE
     return v.magnitude >= threshold
-
-
-def _lattice_le(x, y):
-    """Total-order comparison induced by lattice_max (crisp)."""
-    return lattice_max(x, y) == y
 
 
 @dataclass(frozen=True)
@@ -350,17 +385,14 @@ def properties(R, epsilon=Fraction(1, 2)):
         if i != j
     )
 
-    composed = maxmin_compose(R, R)
-    transitive = all(
-        _lattice_le(composed.values[i][j], V[i][j])
-        for i in range(n)
-        for j in range(n)
-    )
-    anti_transitive = all(
-        _lattice_le(V[i][j], composed.values[i][j]) and V[i][j] != composed.values[i][j]
-        for i in range(n)
-        for j in range(n)
-    )
+    (codes,), _ = _rank_codes(R)
+    pairs = [
+        (r, c)
+        for rrow, crow in zip(codes, _compose_codes(codes, codes))
+        for r, c in zip(rrow, crow)
+    ]
+    transitive = all(c <= r for r, c in pairs)
+    anti_transitive = all(r < c for r, c in pairs)
 
     compatibility = tri_all([reflexive, symmetric])
     partial_order = tri_all([reflexive, antisymmetric, transitive])
@@ -387,24 +419,20 @@ def transitive_closure(R):
     m, n = R.shape
     if m != n:
         raise ShapeError("transitive closure needs a square relation")
-    current = R
-    for _ in range(n + 1):
-        composed = maxmin_compose(current, current)
-        merged = FuzzyNeutroRelation(
-            current.row_labels,
-            current.col_labels,
-            [
-                [
-                    lattice_max(current.values[i][j], composed.values[i][j])
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ],
-        )
-        if merged == current:
-            return current
-        current = merged
-    raise AssertionError("closure failed to stabilize within n+1 rounds")
+    (codes,), decode = _rank_codes(R)
+    # Each round takes the entrywise max with the previous codes, so no
+    # entry's code ever decreases, and every code stays among the 2d+1
+    # codes of R's d magnitudes (AND and max of codes are such codes).
+    # A round that changes the relation raises some entry, so the loop
+    # ends after at most 2d*n*n + 1 rounds.
+    while True:
+        composed = _compose_codes(codes, codes)
+        merged = [list(map(max, row, crow)) for row, crow in zip(codes, composed)]
+        if merged == codes:
+            return FuzzyNeutroRelation(
+                R.row_labels, R.col_labels, _decoded(codes, decode)
+            )
+        codes = merged
 
 
 def check_homomorphism(h, R, Q, strong=False):

@@ -3,8 +3,10 @@
 # different from the shipped algorithms (deletion-contraction tree counts vs
 # the library's matrix-tree theorem, Floyd-Warshall vs repeated squaring,
 # plain int FCM vs the exact engine, Fraction Gaussian elimination vs the
-# library's fraction-free ranks).  matrix_tree_count below shares the
-# library's algorithm but none of its code.
+# library's fraction-free ranks, pair and (magnitude, flag) arithmetic vs
+# the library's integer split products and rank codes).  matrix_tree_count
+# and squaring_closure below share the library's algorithm but none of its
+# code.
 
 import itertools
 from fractions import Fraction
@@ -114,6 +116,20 @@ def o_is_transitive(R):
     C = ocompose(R, R)
     n = len(R)
     return all(ole(C[i][j], R[i][j]) for i in range(n) for j in range(n))
+
+
+def squaring_closure(R):
+    """Max-min transitive closure: R <- omax(R, R o R) until nothing changes.
+
+    Sound for mixed indeterminate grades too, where fw_closure is not.
+    """
+    C = [row[:] for row in R]
+    while True:
+        S = ocompose(C, C)
+        nxt = [[omax(c, s) for c, s in zip(crow, srow)] for crow, srow in zip(C, S)]
+        if nxt == C:
+            return C
+        C = nxt
 
 
 def fw_closure(R):

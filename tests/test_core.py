@@ -161,6 +161,27 @@ class TestMatrix:
         ]
         assert got == expect
 
+    @settings(deadline=None, max_examples=50)  # up to 72 drawn rationals each
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_mul_matches_pair_oracle_on_rectangular_shapes(self, r, k, c, data):
+        entry = st.one_of(
+            st.just(ZERO), st.just(I), st.just(-I),
+            st.builds(NeutroNumber, st.just(0), fractions_st),  # pure multiples of I
+            numbers_st,
+        )
+        A = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=r, max_size=r))
+        B = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=k, max_size=k))
+        if data.draw(st.booleans()):
+            A[data.draw(st.integers(0, r - 1))] = [ZERO] * k
+        if data.draw(st.booleans()):
+            j = data.draw(st.integers(0, c - 1))
+            for row in B:
+                row[j] = ZERO
+        pairs = lambda M: [[(e.real, e.indet) for e in row] for row in M]
+        C = nm_mul(NeutroMatrix(A), NeutroMatrix(B))
+        assert (C.rows, C.cols) == (r, c)
+        assert pairs(C) == oracles.pmat_mul(pairs(A), pairs(B))
+
     def test_rank_and_invertibility(self):
         assert nm_rank(NeutroMatrix.identity(3)) == (3, 3, True)
         assert nm_rank(NeutroMatrix([[I]])) == (0, 1, False)

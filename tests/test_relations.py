@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neutromap.core import NotFoundError, ParseError, ShapeError
@@ -55,6 +55,30 @@ values_st = st.one_of(
         st.booleans(),
     ),
 )
+
+
+# mixed grades: 0I normalizes to 0, I is 1 with the flag on
+grade_tokens_st = st.sampled_from(
+    ["0", "0I", "1", "I", "0.4I", "0.4", "0.7", "0.7I", "1/3", "2/3I", "0.2"]
+)
+
+
+def draw_tokens(data, r, c):
+    row = st.lists(grade_tokens_st, min_size=c, max_size=c)
+    return data.draw(st.lists(row, min_size=r, max_size=r))
+
+
+def grades(R):
+    """Library grades as oracle (magnitude, indeterminate) pairs."""
+    return [[(v.magnitude, v.indeterminate) for v in row] for row in R.values]
+
+
+def labelled(tokens, row_prefix, col_prefix):
+    return FuzzyNeutroRelation.from_tokens(
+        tokens,
+        ["%s%d" % (row_prefix, i + 1) for i in range(len(tokens))],
+        ["%s%d" % (col_prefix, j + 1) for j in range(len(tokens[0]))],
+    )
 
 
 class TestValue:
@@ -193,6 +217,14 @@ class TestCompose:
             ]
             assert got == R2
 
+    @settings(deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_matches_oracle_on_rectangular_mixed_grades(self, r, k, c, data):
+        pt, qt = draw_tokens(data, r, k), draw_tokens(data, k, c)
+        C = maxmin_compose(labelled(pt, "x", "y"), labelled(qt, "y", "z"))
+        assert C.shape == (r, c)
+        assert grades(C) == oracles.ocompose(oracles.fzmat(pt), oracles.fzmat(qt))
+
     def test_associative_on_real_values(self):
         import random
 
@@ -271,6 +303,22 @@ class TestProperties:
         Z = square(["a", "b"], [["0", "0"], ["0", "0"]])
         assert properties(Z).anti_transitive is False
 
+    @settings(deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_transitivity_matches_oracle(self, n, data):
+        R = labelled(draw_tokens(data, n, n), "x", "x")
+        if data.draw(st.booleans()):
+            R = transitive_closure(R)  # random relations are rarely transitive
+        G = grades(R)
+        C = oracles.ocompose(G, G)
+        report = properties(R)
+        assert report.transitive == oracles.o_is_transitive(G)
+        assert report.anti_transitive == all(
+            oracles.ole(G[i][j], C[i][j]) and G[i][j] != C[i][j]
+            for i in range(n)
+            for j in range(n)
+        )
+
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError):
             properties(sagittal())
@@ -336,6 +384,13 @@ class TestClosure:
                 for j in range(4):
                     assert lattice_max(C.entry(i, j), R.entry(i, j)) == C.entry(i, j)
 
+    @settings(deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_matches_squaring_oracle_on_mixed_grades(self, n, data):
+        toks = draw_tokens(data, n, n)
+        C = transitive_closure(labelled(toks, "x", "x"))
+        assert grades(C) == oracles.squaring_closure(oracles.fzmat(toks))
+
     def test_indeterminate_tie_goes_to_the_real_path(self):
         # x3 -> x4 directly is I, but x3 -> x2 -> x1 -> x4 -> x3 is a real
         # 0.7 path, so the closure's (x3, x3) entry must be real 0.7, not
@@ -373,6 +428,22 @@ class TestJoin:
                 for y in ("x", "y"):
                     folded = lattice_max(folded, J[(x, y, z)])
                 assert folded == C.value(x, z)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_matches_oracle_min_on_every_triple(self, r, k, c, data):
+        pt, qt = draw_tokens(data, r, k), draw_tokens(data, k, c)
+        P, Q = labelled(pt, "x", "y"), labelled(qt, "y", "z")
+        J = relational_join(P, Q)
+        Pg, Qg = oracles.fzmat(pt), oracles.fzmat(qt)
+        expect = {
+            (x, y, z): oracles.omin(Pg[i][j], Qg[j][l])
+            for i, x in enumerate(P.row_labels)
+            for j, y in enumerate(P.col_labels)
+            for l, z in enumerate(Q.col_labels)
+        }
+        assert list(J) == list(expect)
+        assert {key: (v.magnitude, v.indeterminate) for key, v in J.items()} == expect
 
     def test_all_zero(self):
         P = rel(["a"], ["x"], [["0"]])
