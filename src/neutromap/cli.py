@@ -242,7 +242,7 @@ def _cmd_graph_analyze(args, fmt):
             "spanning-trees.count", "spanning trees", graphs.spanning_tree_count(G)
         )
     if args.tutte:
-        matrix, matching = graphs.tutte(G, seed=args.seed)
+        matrix, matching = graphs.tutte(G)
         for i, row in enumerate(matrix):
             out.put("tutte.row.%d" % i, "tutte row %d" % i, ", ".join(row))
         out.put("tutte.perfect-matching", "perfect matching", matching)
@@ -473,7 +473,8 @@ def _build_parser():
     ga.add_argument("--from-csv", action="store_true", dest="from_csv")
     for a in _ANALYSES:
         ga.add_argument("--" + a, action="store_true")
-    ga.add_argument("--seed", type=int, default=0)
+    ga.add_argument("--seed", type=int, default=0,
+                    help="no effect: the perfect-matching decision is deterministic")
     ga.set_defaults(func=_cmd_graph_analyze)
 
     n = sub.add_parser("ngraph", help="neutrosophic graph analyses")

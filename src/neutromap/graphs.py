@@ -4,14 +4,15 @@ Vertices are indices 0..n-1.  Edges are unordered pairs; parallel edges and
 loops only appear when the corresponding flag is set (contraction creates
 them internally).  Cut vertices and bridges come from one lowpoint
 depth-first search (Hopcroft-Tarjan), spanning-tree counts from Kirchhoff's
-matrix-tree theorem with the fraction-free elimination of `core`.  Exact
-decision procedures (Hamiltonicity, chromatic number/index) run desk-scale
-backtracking behind the size guards below.
+matrix-tree theorem with the fraction-free elimination of `core`, and the
+perfect-matching decision that accompanies the Tutte matrix from Edmonds'
+blossom algorithm.  Exact decision procedures (Hamiltonicity, chromatic
+number/index) run desk-scale backtracking behind the size guards below.
 """
 
-import random
 from dataclasses import dataclass
 from itertools import count
+from math import comb
 
 from .core import NotFoundError, _check_guard, _echelon
 
@@ -513,12 +514,10 @@ def eulerian(G):
     return True, tour
 
 
-# desk-scale limits of the exact searches, and the Tutte test's field and tries
+# desk-scale limits of the exact searches
 HAMILTONIAN_GUARD = 14  # vertices
 COLORING_VERTEX_GUARD = 14  # vertices
 COLORING_EDGE_GUARD = 20  # edges
-TUTTE_REPS = 20
-TUTTE_PRIME = 2**31 - 1
 
 
 def hamiltonian(G):
@@ -634,26 +633,28 @@ def _min_coloring(adj, order, lower):
     above the highest in use, which skips color permutations.
     """
     size = len(order)
-    for k in range(lower, size + 1):
-        colors = [None] * size
+    colors = [None] * size
+    k = lower
 
-        def assign(i):
-            if i == size:
-                return True
-            x = order[i]
-            used = {colors[w] for w in adj[x] if colors[w] is not None}
-            top = min(k - 1, max((c for c in colors if c is not None), default=-1) + 1)
-            for c in range(top + 1):
-                if c not in used:
-                    colors[x] = c
-                    if assign(i + 1):
-                        return True
-                    colors[x] = None
-            return False
+    def assign(i):
+        if i == size:
+            return True
+        x = order[i]
+        used = {colors[w] for w in adj[x] if colors[w] is not None}
+        top = min(k - 1, max((c for c in colors if c is not None), default=-1) + 1)
+        for c in range(top + 1):
+            if c not in used:
+                colors[x] = c
+                if assign(i + 1):
+                    return True
+                colors[x] = None
+        return False
 
-        if assign(0):
-            return k, colors
-    raise AssertionError("one color per item always suffices")
+    # A failed attempt leaves every color None again.  The loop ends by
+    # k = len(order) at the latest: one color per item always succeeds.
+    while not assign(0):
+        k += 1
+    return k, colors
 
 
 def _greedy_clique(n, adj):
@@ -828,12 +829,8 @@ def chromatic_polynomial(G):
 
 
 def _tree_poly(n):
-    # lambda * (lambda - 1)^(n-1)
-    result = Polynomial([0, 1])
-    factor = Polynomial([-1, 1])
-    for _ in range(n - 1):
-        result = result * factor
-    return result
+    # lambda * (lambda - 1)^(n-1): lambda^(k+1) has (-1)^(n-1-k) * C(n-1, k)
+    return Polynomial([0] + [(-1) ** (n - 1 - k) * comb(n - 1, k) for k in range(n)])
 
 
 def spanning_tree_count(G):
@@ -852,13 +849,13 @@ def spanning_tree_count(G):
     return _echelon([row[1:] for row in L[1:]])[1]
 
 
-def tutte(G, seed=0):
-    """Tutte matrix plus a randomized 1-factor decision.
+def tutte(G):
+    """Tutte matrix plus a deterministic 1-factor decision.
 
     The matrix is returned as rows of strings ('0', 'x13', '-x13').  The
-    flag comes from evaluating det T at random field points; any nonzero
-    evaluation certifies a perfect matching, and an odd order short-circuits
-    to False.
+    flag says whether G has a perfect matching, decided by a maximum
+    matching from Edmonds' blossom algorithm (so an odd order is False and
+    the empty graph True).
     """
     if not G.is_simple():
         raise ValueError("tutte matrix is defined for simple graphs")
@@ -869,42 +866,92 @@ def tutte(G, seed=0):
         names[u][v] = sym
         names[v][u] = "-" + sym
     matrix = tuple(tuple(row) for row in names)
-    if n % 2 == 1:
-        return matrix, False
-    if n == 0:
-        return matrix, True
-    rng = random.Random(seed)
-    for _ in range(TUTTE_REPS):
-        vals = {e: rng.randrange(1, TUTTE_PRIME) for e in G.edges}
-        T = [[0] * n for _ in range(n)]
-        for (u, v), x in vals.items():
-            T[u][v] = x
-            T[v][u] = (-x) % TUTTE_PRIME
-        if _det_mod(T, TUTTE_PRIME) != 0:
-            return matrix, True
-    return matrix, False
+    return matrix, 2 * len(_maximum_matching(n, G.adjacency())) == n
 
 
-def _det_mod(M, p):
-    A = [row[:] for row in M]
-    n = len(A)
-    det = 1
-    for k in range(n):
-        pivot = None
-        for r in range(k, n):
-            if A[r][k] % p:
-                pivot = r
-                break
-        if pivot is None:
-            return 0
-        if pivot != k:
-            A[k], A[pivot] = A[pivot], A[k]
-            det = -det
-        det = det * A[k][k] % p
-        inv = pow(A[k][k], -1, p)
-        for r in range(k + 1, n):
-            if A[r][k]:
-                f = A[r][k] * inv % p
-                for c in range(k, n):
-                    A[r][c] = (A[r][c] - f * A[k][c]) % p
-    return det % p
+def _maximum_matching(n, adj):
+    """Maximum matching of a loopless graph, as sorted pairs (u, v), u < v.
+
+    Edmonds' blossom algorithm (Edmonds 1965, "Paths, trees, and flowers"):
+    a greedy matching, then one breadth-first search for an augmenting path
+    from each exposed vertex.  An edge between two even vertices of the
+    search tree closes an odd cycle, which is contracted onto its base (the
+    lowest common ancestor of the two ends).  A vertex with no augmenting
+    path never gains one later, so one search per vertex suffices.
+    """
+    mate = [None] * n
+    for v in range(n):
+        if mate[v] is None:
+            for w in adj[v]:
+                if mate[w] is None:
+                    mate[v], mate[w] = w, v
+                    break
+
+    for root in range(n):
+        if mate[root] is not None:
+            continue
+        # parent[v]: the even vertex an odd vertex v was reached from;
+        # base[v]: the base of the outermost blossom containing v
+        parent = [None] * n
+        base = list(range(n))
+        even = [False] * n
+        even[root] = True
+        queue = [root]
+        head = 0
+        end = None
+        while end is None and head < len(queue):
+            v = queue[head]
+            head += 1
+            for w in adj[v]:
+                if base[v] == base[w] or mate[v] == w:
+                    continue
+                if w == root or (mate[w] is not None and parent[mate[w]] is not None):
+                    # w is even: v-w closes an odd cycle, contract it
+                    b = _blossom_base(v, w, base, mate, parent)
+                    inside = [False] * n
+                    _mark_path(v, w, b, base, mate, parent, inside)
+                    _mark_path(w, v, b, base, mate, parent, inside)
+                    for x in range(n):
+                        if inside[base[x]]:
+                            base[x] = b
+                            if not even[x]:
+                                even[x] = True
+                                queue.append(x)
+                elif parent[w] is None:
+                    parent[w] = v
+                    if mate[w] is None:
+                        end = w
+                        break
+                    even[mate[w]] = True
+                    queue.append(mate[w])
+        # flip the augmenting path root ... end
+        while end is not None:
+            p = parent[end]
+            nxt = mate[p]
+            mate[end], mate[p] = p, end
+            end = nxt
+
+    return tuple((v, w) for v, w in enumerate(mate) if w is not None and v < w)
+
+
+def _blossom_base(a, b, base, mate, parent):
+    """Lowest common ancestor of two even vertices in the contracted tree."""
+    seen = set()
+    while True:
+        a = base[a]
+        seen.add(a)
+        if mate[a] is None:  # the root
+            break
+        a = parent[mate[a]]
+    while base[b] not in seen:
+        b = parent[mate[base[b]]]
+    return base[b]
+
+
+def _mark_path(v, child, b, base, mate, parent, inside):
+    """Mark the blossoms from v up to base b, pointing odd vertices inward."""
+    while base[v] != b:
+        inside[base[v]] = inside[base[mate[v]]] = True
+        parent[v] = child
+        child = mate[v]
+        v = parent[mate[v]]

@@ -4,11 +4,13 @@
 # the library's matrix-tree theorem, Floyd-Warshall vs repeated squaring,
 # plain int FCM vs the exact engine, Fraction Gaussian elimination vs the
 # library's fraction-free ranks, pair and (magnitude, flag) arithmetic vs
-# the library's integer split products and rank codes).  matrix_tree_count
+# the library's integer split products and rank codes, random Tutte
+# determinants vs the library's blossom algorithm).  matrix_tree_count
 # and squaring_closure below share the library's algorithm but none of its
 # code.
 
 import itertools
+import random
 from fractions import Fraction
 
 # --- exact (a, b) pair arithmetic, a + b*I with I*I = I ------------------
@@ -310,7 +312,7 @@ def deletion_contraction_tree_count(n, edges):
     return rec(n, tuple(sorted(counts.items())))
 
 
-# --- matchings and colorings by brute force ------------------------------
+# --- matchings (brute force, random Tutte determinants) and colorings ---
 
 
 def has_perfect_matching(n, edges):
@@ -333,6 +335,59 @@ def has_perfect_matching(n, edges):
         return False
 
     return rec(frozenset(range(n)))
+
+
+TUTTE_REPS = 20
+TUTTE_PRIME = 2**31 - 1
+
+
+def randomized_tutte_flag(n, edges, seed):
+    """Perfect matching by the randomized Tutte test.
+
+    det T is evaluated at random points of GF(p); any nonzero evaluation
+    certifies a perfect matching, and after TUTTE_REPS zero evaluations the
+    answer is False (wrong with probability at most (n/p)**TUTTE_REPS).
+    """
+    if n % 2 == 1:
+        return False
+    if n == 0:
+        return True
+    edges = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    rng = random.Random(seed)
+    for _ in range(TUTTE_REPS):
+        vals = {e: rng.randrange(1, TUTTE_PRIME) for e in edges}
+        T = [[0] * n for _ in range(n)]
+        for (u, v), x in vals.items():
+            T[u][v] = x
+            T[v][u] = (-x) % TUTTE_PRIME
+        if _det_mod(T, TUTTE_PRIME) != 0:
+            return True
+    return False
+
+
+def _det_mod(M, p):
+    A = [row[:] for row in M]
+    n = len(A)
+    det = 1
+    for k in range(n):
+        pivot = None
+        for r in range(k, n):
+            if A[r][k] % p:
+                pivot = r
+                break
+        if pivot is None:
+            return 0
+        if pivot != k:
+            A[k], A[pivot] = A[pivot], A[k]
+            det = -det
+        det = det * A[k][k] % p
+        inv = pow(A[k][k], -1, p)
+        for r in range(k + 1, n):
+            if A[r][k]:
+                f = A[r][k] * inv % p
+                for c in range(k, n):
+                    A[r][c] = (A[r][c] - f * A[k][c]) % p
+    return det % p
 
 
 def count_proper_colorings(n, edges, k):

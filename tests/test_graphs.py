@@ -28,6 +28,8 @@ from neutromap.graphs import (
     spanning_tree_count,
     tutte,
     PETERSEN_EDGES,
+    _maximum_matching,
+    _tree_poly,
 )
 from neutromap.core import NotFoundError
 
@@ -411,6 +413,25 @@ class TestPolynomial:
             for k in range(4):
                 assert p(k) == oracles.count_proper_colorings(n, edges, k)
 
+    def test_tree_closed_form_matches_the_product(self):
+        lam = Polynomial([0, 1])
+        for n in range(1, 41):
+            product = lam
+            for _ in range(n - 1):
+                product = product * Polynomial([-1, 1])
+            assert _tree_poly(n) == product
+            assert str(_tree_poly(n)) == str(product)
+
+    def test_trees_match_brute_counts(self):
+        rng = random.Random(17)
+        for _ in range(12):
+            n = rng.randint(2, 6)
+            edges = oracles.random_tree(rng, n)
+            p = chromatic_polynomial(Graph(n, edges))
+            assert p == _tree_poly(n)
+            for k in range(4):
+                assert p(k) == oracles.count_proper_colorings(n, edges, k)
+
 
 class TestSpanningTrees:
     def test_known_counts(self):
@@ -501,4 +522,94 @@ class TestTutte:
 
     def test_deterministic_under_seed(self):
         G = generate("petersen")
-        assert tutte(G, seed=5) == tutte(G, seed=5)
+        assert tutte(G) == tutte(G)
+
+    def test_matches_brute_force(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            n = rng.randint(0, 12)
+            edges = oracles.random_simple_graph(rng, n)
+            G = Graph(n, edges)
+            assert tutte(G)[1] == oracles.has_perfect_matching(n, edges)
+            assert_matching(G, _maximum_matching(n, G.adjacency()))
+
+    def test_matches_random_determinants_and_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(37)
+        for k in range(40):
+            n = 2 * rng.randint(7, 30)  # an odd order needs no determinant
+            edges = oracles.random_simple_graph(rng, n, rng.choice([0.05, 0.1, 0.2, 0.3]))
+            G = Graph(n, edges)
+            matching = _maximum_matching(n, G.adjacency())
+            assert_matching(G, matching)
+            assert tutte(G)[1] == oracles.randomized_tutte_flag(n, edges, k)
+            H = nx.Graph()
+            H.add_nodes_from(range(n))
+            H.add_edges_from(edges)
+            assert len(matching) == len(nx.max_weight_matching(H, maxcardinality=True))
+
+    @pytest.mark.parametrize("lengths", [(3, 3), (5, 5), (3, 5, 7), (5, 3, 5, 3), (7, 5, 3, 9)])
+    @pytest.mark.parametrize("link", [1, 2, 3])
+    def test_odd_cycles_joined_by_paths(self, lengths, link):
+        nx = pytest.importorskip("networkx")
+        n, edges = odd_cycle_chain(lengths, link)
+        G = Graph(n, edges)
+        matching = _maximum_matching(n, G.adjacency())
+        assert_matching(G, matching)
+        assert len(matching) == len(nx.max_weight_matching(nx.Graph(edges), maxcardinality=True))
+        assert tutte(G)[1] == oracles.randomized_tutte_flag(n, edges, 0)
+
+    @pytest.mark.parametrize("n, edges", [
+        # triangles 0-1-4 and 1-2-4 with pendants 3 at 0 and 5 at 2; greedy
+        # takes 0-1 and 2-4, and the only augmenting path, 3-0=1-4=2-5, is
+        # found from either end only by contracting a triangle
+        (6, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (2, 5)]),
+        # from a random search: a search that contracts only the scanned
+        # vertex's side of an odd cycle leaves the parent links in a loop
+        # here, and flipping the augmenting path never ends
+        (10, [(0, 1), (0, 2), (0, 6), (0, 8), (1, 3), (1, 4), (1, 5), (1, 7), (2, 3),
+              (2, 7), (3, 4), (3, 8), (4, 6), (5, 8), (6, 7), (6, 8), (7, 8), (8, 9)]),
+    ])
+    def test_augmenting_path_through_a_blossom(self, n, edges):
+        G = Graph(n, edges)
+        matching = _maximum_matching(n, G.adjacency())
+        assert_matching(G, matching)
+        assert 2 * len(matching) == n and tutte(G)[1] is True
+
+    def test_petersen_has_a_perfect_matching(self):
+        G = generate("petersen")
+        matching = _maximum_matching(10, G.adjacency())
+        assert_matching(G, matching)
+        assert len(matching) == 5 and tutte(G)[1] is True
+
+    @pytest.mark.parametrize("family, params, flag", [
+        ("complete-bipartite", (99, 101), False),
+        ("complete", (300,), True),
+    ])
+    def test_large_dense_graphs_are_fast(self, family, params, flag):
+        G = generate(family, *params)
+        start = time.perf_counter()
+        assert tutte(G)[1] is flag
+        assert time.perf_counter() - start < 1.0
+
+
+def assert_matching(G, matching):
+    """The pairs are distinct edges of G with no endpoint in common."""
+    assert all(pair in G.edges for pair in matching)
+    ends = [v for pair in matching for v in pair]
+    assert len(ends) == len(set(ends))
+
+
+def odd_cycle_chain(lengths, link):
+    """Odd cycles in a row, each joined to the next by a path of `link` edges."""
+    edges, n, prev = [], 0, None
+    for size in lengths:
+        cyc = list(range(n, n + size))
+        edges += [(cyc[i], cyc[(i + 1) % size]) for i in range(size)]
+        n += size
+        if prev is not None:
+            path = [prev] + list(range(n, n + link - 1)) + [cyc[0]]
+            n += link - 1
+            edges += list(zip(path, path[1:]))
+        prev = cyc[size // 2]
+    return n, edges
