@@ -6,13 +6,14 @@ them internally).  Cut vertices and bridges come from one lowpoint
 depth-first search (Hopcroft-Tarjan), spanning-tree counts from Kirchhoff's
 matrix-tree theorem with the fraction-free elimination of `core`, and the
 perfect-matching decision that accompanies the Tutte matrix from Edmonds'
-blossom algorithm.  Exact decision procedures (Hamiltonicity, chromatic
-number/index) run desk-scale backtracking behind the size guards below.
+blossom algorithm.  Chromatic polynomials peel simplicial vertices and
+branch by deletion-contraction over memoised bitmask states.  Exact
+decision procedures (Hamiltonicity, chromatic number/index) run desk-scale
+backtracking behind the size guards below.
 """
 
 from dataclasses import dataclass
 from itertools import count
-from math import comb
 
 from .core import NotFoundError, _check_guard, _echelon
 
@@ -518,6 +519,7 @@ def eulerian(G):
 HAMILTONIAN_GUARD = 14  # vertices
 COLORING_VERTEX_GUARD = 14  # vertices
 COLORING_EDGE_GUARD = 20  # edges
+CHROMATIC_GUARD = 50000  # memo states of chromatic_polynomial
 
 
 def hamiltonian(G):
@@ -785,52 +787,115 @@ class Polynomial:
 
 
 def chromatic_polynomial(G):
-    """Deletion-contraction: f(G) = f(G-e) - f(G/e), base lambda^n."""
+    """P(G, lambda) by simplicial peeling and deletion-contraction.
+
+    A state is a tuple of neighbour bitmasks over labels 0..k-1.  A vertex
+    whose d neighbours form a clique (simplicial) leaves with a factor
+    (lambda - d) (Read 1968); a state with no such vertex branches on an
+    edge uw at its lowest vertex u: P(G) = P(G - uw) - P(G / uw).  Labels
+    follow ascending degree, so the first branch is at a minimum-degree
+    vertex.  The branches run on an explicit stack over a memo of states,
+    so no recursion grows with the graph; CHROMATIC_GUARD bounds the memo.
+    """
     if not G.is_simple():
         raise ValueError("chromatic polynomial is computed for simple graphs")
-    memo = {}
-
-    def rec(n, edges):
-        if not edges:
-            return Polynomial.monomial(n)
-        key = (n, edges)
-        if key in memo:
-            return memo[key]
-        adj = [set() for _ in range(n)]
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        comps = _components(n, adj)
-        if len(comps) > 1:
-            result = Polynomial([1])
-            for comp in comps:
-                remap = {v: i for i, v in enumerate(comp)}
-                sub = tuple(
-                    sorted(
-                        (remap[u], remap[v])
-                        for u, v in edges
-                        if u in remap and v in remap
-                    )
-                )
-                result = result * rec(len(comp), sub)
-            memo[key] = result
-            return result
-        if len(edges) == n - 1:  # connected with n-1 edges: a tree
-            result = _tree_poly(n)
-            memo[key] = result
-            return result
-        u, v = edges[0]
-        contracted = tuple(sorted(set(_contract(edges, u, v))))
-        result = rec(n, edges[1:]) - rec(n - 1, contracted)
-        memo[key] = result
-        return result
-
-    return rec(G.vertex_count, tuple(sorted(set(G.edges))))
+    n = G.vertex_count
+    deg = G.degrees()
+    label = {v: i for i, v in enumerate(sorted(range(n), key=deg.__getitem__))}
+    masks = [0] * n
+    for u, v in G.edges:
+        masks[label[u]] |= 1 << label[v]
+        masks[label[v]] |= 1 << label[u]
+    peeled, root = _peel(masks, (1 << n) - 1, 0)
+    memo = {(): Polynomial([1])}
+    branches = {}
+    stack = [root]
+    while stack:
+        state = stack[-1]
+        if state in memo:
+            stack.pop()
+        elif state in branches:
+            (p_del, deleted), (p_con, contracted) = branches.pop(state)
+            memo[state] = _times(p_del, memo[deleted]) - _times(p_con, memo[contracted])
+            stack.pop()
+        else:
+            _check_guard("chromatic polynomial", len(memo) + len(branches),
+                         "states", CHROMATIC_GUARD)
+            branches[state] = kids = _branch(state)
+            stack.extend(kid for _degrees, kid in kids)
+    return _times(peeled, memo[root])
 
 
-def _tree_poly(n):
-    # lambda * (lambda - 1)^(n-1): lambda^(k+1) has (-1)^(n-1-k) * C(n-1, k)
-    return Polynomial([0] + [(-1) ** (n - 1 - k) * comb(n - 1, k) for k in range(n)])
+def _times(degrees, p):
+    """p * prod (lambda - d)^c over the peeled degree counts {d: c}."""
+    for d, c in degrees.items():
+        # lambda^j has C(c, j) * (-d)^(c-j), built downwards in j
+        coeffs = [1]
+        for j in range(c, 0, -1):
+            coeffs.append(coeffs[-1] * -d * j // (c - j + 1))
+        p = p * Polynomial(coeffs[::-1])
+    return p
+
+
+def _branch(state):
+    """Peeled G - uw and G / uw for u = 0 and the neighbour w of u with the
+    fewest common neighbours.
+
+    Branching stays on one vertex until it is peeled: moving to another
+    vertex at each branch multiplies the states of dense graphs (K10,10
+    needs 2,121 this way and 167,249 with a minimum-degree vertex chosen
+    afresh each time).  `state` has no simplicial vertex, so only u and w
+    can become simplicial in G - uw, and only u and its neighbours in G / uw.
+    """
+    u = 0
+    w = min(_bits(state[u]), key=lambda x: (state[x] & state[u]).bit_count())
+    deleted = list(state)
+    deleted[u] ^= 1 << w
+    deleted[w] ^= 1 << u
+    contracted = list(deleted)
+    contracted[u] |= contracted[w]
+    for x in _bits(contracted[w]):
+        contracted[x] = contracted[x] ^ (1 << w) | (1 << u)
+    return (_peel(deleted, (1 << u) | (1 << w), 0),
+            _peel(contracted, contracted[u] | (1 << u), 1 << w))
+
+
+def _peel(masks, dirty, gone):
+    """Strip simplicial vertices: ({degree d: count}, compacted state).
+
+    Only the vertices in the bitmask `dirty`, and the neighbours of those
+    stripped, are tested.  Vertices in `gone` leave without a factor.
+    `masks` is consumed.
+    """
+    removed = gone
+    degrees = {}
+    work = list(_bits(dirty))
+    while work:
+        v = work.pop()
+        nb = masks[v]
+        if not removed >> v & 1 and (
+            nb & (nb - 1) == 0  # no neighbour or one
+            or all(nb & ~masks[u] == 1 << u for u in _bits(nb))
+        ):
+            d = nb.bit_count()
+            degrees[d] = degrees.get(d, 0) + 1
+            removed |= 1 << v
+            for u in _bits(nb):
+                masks[u] ^= 1 << v
+                work.append(u)
+    masks = [m for v, m in enumerate(masks) if not removed >> v & 1]
+    if masks:
+        for r in sorted(_bits(removed), reverse=True):
+            low = (1 << r) - 1
+            masks = [m & low | m >> 1 & ~low for m in masks]
+    return degrees, tuple(masks)
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def spanning_tree_count(G):

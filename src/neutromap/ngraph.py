@@ -3,18 +3,19 @@
 Vertices 0..n_real-1 are real; the remaining indet count get labels N1..Nk.
 Every edge carries a tag: "R" (real) or "I" (indeterminate).  Most analyses
 delegate to the classical machinery on the underlying graph and layer the
-indeterminacy bookkeeping on top.
+indeterminacy bookkeeping on top; isomorphism is a backtracking search
+pruned by per-vertex kind and tag-degree signatures.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
 
 from . import graphs
 from .core import I, NeutroMatrix, ShapeError, ZERO, ONE, _check_guard
 
 
 _TAGS = ("R", "I")
-ISOMORPHISM_GUARD = 10  # vertices for the brute-force neutro_isomorphic
+ISOMORPHISM_GUARD = 10  # vertices for the neutro_isomorphic backtracking
 
 
 class NeutroGraph:
@@ -415,7 +416,14 @@ def neutro_petersen(kind, *params):
 
 
 def neutro_isomorphic(G1, G2):
-    """Brute-force neutro isomorphism: real->real, indet->indet, tags kept."""
+    """Neutro isomorphism (real->real, indet->indet, tags kept) by backtracking.
+
+    A vertex's signature is its kind and its degree per tag, out and in
+    apart on directed graphs.  Vertices 0, 1, ... of G1 map in turn onto
+    unused vertices of G2 with the same signature, lowest first, when the
+    edge count per tag to every vertex already mapped (itself included,
+    for loops) agrees; phi is the first map in lexicographic order.
+    """
     order = max(G1.vertex_count, G2.vertex_count)
     _check_guard("isomorphism", order, "vertices", ISOMORPHISM_GUARD)
     if (
@@ -425,26 +433,49 @@ def neutro_isomorphic(G1, G2):
         or G1.m != G2.m
     ):
         return False, None
+    sig1, count1 = _signatures(G1)
+    sig2, count2 = _signatures(G2)
+    if sorted(sig1) != sorted(sig2):
+        return False, None
+    n = G1.vertex_count
+    phi = {}
 
-    def key(edges):
-        return tuple(sorted(edges))
+    def agrees(v, a):
+        return all(
+            count1[v, x, t] == count2[a, phi[x], t]
+            and count1[x, v, t] == count2[phi[x], a, t]
+            for x in phi
+            for t in _TAGS
+        )
 
-    target = key(G2.edges)
-    reals = range(G1.n_real)
-    indets = range(G1.n_real, G1.vertex_count)
-    for pr in permutations(range(G2.n_real)):
-        for pi in permutations(range(G2.n_real, G2.vertex_count)):
-            phi = dict(zip(reals, pr))
-            phi.update(zip(indets, pi))
-            mapped = []
-            for u, v, t in G1.edges:
-                a, b = phi[u], phi[v]
-                if not G1.directed and a > b:
-                    a, b = b, a
-                mapped.append((a, b, t))
-            if key(mapped) == target:
-                return True, phi
-    return False, None
+    def extend(v):
+        if v == n:
+            return True
+        taken = set(phi.values())
+        for a in range(n):
+            if a not in taken and sig2[a] == sig1[v]:
+                phi[v] = a
+                if agrees(v, a) and extend(v + 1):
+                    return True
+                del phi[v]
+        return False
+
+    return (True, phi) if extend(0) else (False, None)
+
+
+def _signatures(G):
+    """Per vertex (kind, per-tag degrees); edge counts keyed (u, v, tag)."""
+    sig = [[G.is_indet_vertex(v), 0, 0, 0, 0] for v in range(G.vertex_count)]
+    counts = Counter()
+    into = 3 if G.directed else 1
+    for u, v, t in G.edges:
+        k = _TAGS.index(t)
+        sig[u][1 + k] += 1
+        sig[v][into + k] += 1
+        counts[u, v, t] += 1
+        if not G.directed and u != v:
+            counts[v, u, t] += 1
+    return [tuple(s) for s in sig], counts
 
 
 def is_oriented(G):

@@ -1,11 +1,20 @@
-"""Shared test configuration: the acceptance-criteria summary table.
+"""Shared test configuration: the acceptance-criteria summary table and a
+bounded child-process runner.
 
 The functions in test_acceptance.py are named test_cNN_*; after a run that
 touched any of them, the terminal summary prints one PASS/FAIL line per
 criterion so the whole checklist can be read at a glance.
 """
 
+import os
 import re
+import subprocess
+import sys
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+CHILD_TIMEOUT = 60  # seconds
 
 CRITERIA = {
     "C01": "matrix product reproduces the worked 2x4 result, corrected 4I entry included",
@@ -46,3 +55,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(
             "[%s] %s - %s" % (cid, word, CRITERIA.get(cid, ""))
         )
+
+
+@pytest.fixture
+def python_child():
+    """Run `python ARGS...` in a child process with `src` on its path.
+
+    The child is killed after `timeout` seconds and the test fails with
+    subprocess.TimeoutExpired, so a search that stops terminating fails the
+    suite instead of hanging it.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p
+    )
+
+    def run(*args, timeout=CHILD_TIMEOUT):
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, env=env,
+            timeout=timeout,
+        )
+
+    return run

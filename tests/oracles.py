@@ -5,11 +5,15 @@
 # plain int FCM vs the exact engine, Fraction Gaussian elimination vs the
 # library's fraction-free ranks, pair and (magnitude, flag) arithmetic vs
 # the library's integer split products and rank codes, random Tutte
-# determinants vs the library's blossom algorithm).  matrix_tree_count
+# determinants vs the library's blossom algorithm, plain edge-list
+# deletion-contraction vs the library's simplicial peeling over bitmask
+# states, every vertex permutation vs the library's signature-pruned
+# isomorphism search).  matrix_tree_count
 # and squaring_closure below share the library's algorithm but none of its
 # code.
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -312,6 +316,101 @@ def deletion_contraction_tree_count(n, edges):
     return rec(n, tuple(sorted(counts.items())))
 
 
+# --- chromatic polynomials (deletion-contraction) ------------------------
+
+
+def _poly_trim(coeffs):
+    coeffs = list(coeffs)
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _poly_sub(a, b):
+    size = max(len(a), len(b))
+    return _poly_trim(
+        (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+        for i in range(size)
+    )
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _poly_trim(out)
+
+
+def deletion_contraction_chromatic(n, edges):
+    """Chromatic polynomial coefficients (ascending) of a simple graph.
+
+    f(G) = f(G-e) - f(G/e) on the first edge, base lambda^n; a disconnected
+    graph is the product over its components and a tree is
+    lambda * (lambda - 1)^(n-1) from binomial coefficients.
+    """
+    memo = {}
+
+    def components(n, edges):
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for u, v in edges:
+            parent[find(u)] = find(v)
+        groups = {}
+        for x in range(n):
+            groups.setdefault(find(x), []).append(x)
+        return sorted(tuple(g) for g in groups.values())
+
+    def contract(edges, u, v):
+        out = set()
+        for a, b in edges:
+            a = u if a == v else a
+            b = u if b == v else b
+            if a != b:
+                a = a if a < v else a - 1
+                b = b if b < v else b - 1
+                out.add((min(a, b), max(a, b)))
+        return tuple(sorted(out))
+
+    def rec(n, edges):
+        if not edges:
+            return (0,) * n + (1,)
+        key = (n, edges)
+        if key in memo:
+            return memo[key]
+        comps = components(n, edges)
+        if len(comps) > 1:
+            result = (1,)
+            for comp in comps:
+                remap = {v: i for i, v in enumerate(comp)}
+                sub = tuple(
+                    sorted(
+                        (remap[u], remap[v])
+                        for u, v in edges
+                        if u in remap and v in remap
+                    )
+                )
+                result = _poly_mul(result, rec(len(comp), sub))
+        elif len(edges) == n - 1:
+            result = (0,) + tuple(
+                (-1) ** (n - 1 - k) * math.comb(n - 1, k) for k in range(n)
+            )
+        else:
+            u, v = edges[0]
+            result = _poly_sub(rec(n, edges[1:]), rec(n - 1, contract(edges, u, v)))
+        memo[key] = result
+        return result
+
+    simple = {(min(u, v), max(u, v)) for u, v in edges if u != v}
+    return rec(n, tuple(sorted(simple)))
+
+
 # --- matchings (brute force, random Tutte determinants) and colorings ---
 
 
@@ -435,6 +534,42 @@ def plain_isomorphic(n1, edges1, n2, edges2):
         if mapped == e2:
             return True
     return False
+
+
+def brute_force_neutro_isomorphic(G1, G2):
+    """(flag, phi) over every real x indeterminate vertex permutation.
+
+    G1 and G2 are neutro graphs (n_real, n_indet, vertex_count, directed,
+    edges as sorted (u, v, tag) triples); phi is the first isomorphism in
+    lexicographic order of the images.
+    """
+    if (
+        G1.n_real != G2.n_real
+        or G1.n_indet != G2.n_indet
+        or G1.directed != G2.directed
+        or len(G1.edges) != len(G2.edges)
+    ):
+        return False, None
+
+    def key(edges):
+        return tuple(sorted(edges))
+
+    target = key(G2.edges)
+    reals = range(G1.n_real)
+    indets = range(G1.n_real, G1.vertex_count)
+    for pr in itertools.permutations(range(G2.n_real)):
+        for pi in itertools.permutations(range(G2.n_real, G2.vertex_count)):
+            phi = dict(zip(reals, pr))
+            phi.update(zip(indets, pi))
+            mapped = []
+            for u, v, t in G1.edges:
+                a, b = phi[u], phi[v]
+                if not G1.directed and a > b:
+                    a, b = b, a
+                mapped.append((a, b, t))
+            if key(mapped) == target:
+                return True, phi
+    return False, None
 
 
 # --- random structure helpers (seeded by the caller) ---------------------

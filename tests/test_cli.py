@@ -169,6 +169,40 @@ class TestGraphAnalyze:
         assert "graph.vertices = 4" in out
 
 
+class TestPolynomialTotality:
+    """1,200-vertex polynomials finish; the memo guard exits 4."""
+
+    def polynomial_line(self, result):
+        assert (result.returncode, result.stderr) == (0, "")
+        vertices, _edges, line = result.stdout.splitlines()
+        assert vertices == "vertices: 1200"
+        return line
+
+    def analyze(self, python_child, target, timeout=30):
+        return python_child(
+            "-m", "neutromap.cli", "graph", "analyze", target, "--polynomial",
+            timeout=timeout,
+        )
+
+    def test_cycle_1200(self, python_child):
+        line = self.polynomial_line(self.analyze(python_child, "cycle-1200"))
+        # the x^1199 coefficient is minus the edge count
+        assert line.startswith("chromatic polynomial: x^1200 - 1200x^1199 + 719400x^1198 ")
+        assert line.endswith(" - 1199x")
+
+    def test_path_1200(self, python_child):
+        line = self.polynomial_line(self.analyze(python_child, "path-1200"))
+        assert line.startswith("chromatic polynomial: x^1200 - 1199x^1199 + ")
+        assert line.endswith(" - x")
+
+    def test_guard_exits_4(self, python_child):
+        r = self.analyze(python_child, "complete-bipartite-25-25", timeout=60)
+        assert (r.returncode, r.stdout) == (4, "")
+        assert r.stderr == (
+            "error: chromatic polynomial guard: 50001 states exceeds 50000\n"
+        )
+
+
 class TestNgraphCommands:
     def test_classify(self, capsys):
         code, out, _ = run(

@@ -2,12 +2,14 @@
 
 import math
 import random
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neutromap import graphs
 from neutromap.core import SizeLimitError
 from neutromap.graphs import (
     Graph,
@@ -29,7 +31,6 @@ from neutromap.graphs import (
     tutte,
     PETERSEN_EDGES,
     _maximum_matching,
-    _tree_poly,
 )
 from neutromap.core import NotFoundError
 
@@ -419,8 +420,11 @@ class TestPolynomial:
             product = lam
             for _ in range(n - 1):
                 product = product * Polynomial([-1, 1])
-            assert _tree_poly(n) == product
-            assert str(_tree_poly(n)) == str(product)
+            for kind, size in (("path", n), ("star", n - 1)):
+                if size >= 1:
+                    p = chromatic_polynomial(generate(kind, size))
+                    assert p == product
+                    assert str(p) == str(product)
 
     def test_trees_match_brute_counts(self):
         rng = random.Random(17)
@@ -428,9 +432,84 @@ class TestPolynomial:
             n = rng.randint(2, 6)
             edges = oracles.random_tree(rng, n)
             p = chromatic_polynomial(Graph(n, edges))
-            assert p == _tree_poly(n)
+            assert p.coeffs == oracles.deletion_contraction_chromatic(n, edges)
             for k in range(4):
                 assert p(k) == oracles.count_proper_colorings(n, edges, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 9), st.data())
+    def test_matches_deletion_contraction_oracle(self, n, data):
+        shape = data.draw(st.sampled_from(
+            ["random", "empty", "disconnected", "complete", "chordal", "cycle"]))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        edges = shaped_graph(rng, n, shape)
+        p = chromatic_polynomial(Graph(n, edges))
+        assert p.coeffs == oracles.deletion_contraction_chromatic(n, edges)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 6), st.data())
+    def test_matches_counted_colorings(self, n, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        edges = oracles.random_simple_graph(rng, n)
+        p = chromatic_polynomial(Graph(n, edges))
+        for k in range(5):
+            assert p(k) == oracles.count_proper_colorings(n, edges, k)
+
+    def test_long_cycle_and_path_need_no_deep_recursion(self):
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            p = chromatic_polynomial(generate("cycle", 300))
+        finally:
+            sys.setrecursionlimit(limit)
+        # (x - 1)^n + (-1)^n (x - 1) for the n-cycle
+        q = Polynomial([-1, 1])
+        closed = Polynomial([1])
+        for _ in range(300):
+            closed = closed * q
+        assert p == closed + q
+        assert chromatic_polynomial(generate("path", 2000)).coeffs[1] == -1
+
+    def test_guard_bounds_the_memo(self, monkeypatch):
+        monkeypatch.setattr(graphs, "CHROMATIC_GUARD", 100)
+        with pytest.raises(
+            SizeLimitError, match="^chromatic polynomial guard: 101 states exceeds 100$"
+        ):
+            chromatic_polynomial(generate("complete-bipartite", 7, 7))
+        assert chromatic_polynomial(generate("complete", 30)).degree == 30
+
+
+def shaped_graph(rng, n, shape):
+    """A simple graph on n vertices of the named shape."""
+    if shape == "empty" or n == 0:
+        return []
+    if shape == "complete":
+        return [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if shape == "cycle":
+        if n < 3:
+            return [(0, 1)] if n == 2 else []
+        return [(i, (i + 1) % n) for i in range(n)]
+    if shape == "chordal":
+        # each new vertex joins a clique among the earlier ones
+        edges = []
+        cliques = [[0]]
+        for v in range(1, n):
+            base = rng.choice(cliques)
+            joined = [u for u in base if rng.random() < 0.7] or base[:1]
+            edges.extend((u, v) for u in joined)
+            cliques.append(joined + [v])
+        return edges
+    if shape == "disconnected":
+        cut = rng.randint(0, n)
+        return [
+            (u, v)
+            for u, v in oracles.random_simple_graph(rng, n)
+            if (u < cut) == (v < cut)
+        ]
+    return oracles.random_simple_graph(rng, n)
 
 
 class TestSpanningTrees:

@@ -1,8 +1,11 @@
 """Unit tests for neutrosophic graphs."""
 
+import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neutromap.core import NeutroMatrix, NeutroNumber, SizeLimitError
 from neutromap.graphs import Graph
@@ -21,9 +24,11 @@ from neutromap.ngraph import (
     neutro_petersen,
     neutro_tree,
     strip_indeterminates,
+    _signatures,
 )
 
 import goldens
+import oracles
 
 
 def fig_3_2_8():
@@ -371,6 +376,46 @@ class TestIsoOriented:
         with pytest.raises(SizeLimitError, match="isomorphism guard: 11 vertices exceeds 10"):
             neutro_isomorphic(big, big)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        n_real, n_indet = rng.randint(0, 5), rng.randint(0, 3)
+        directed = data.draw(st.booleans())
+        multi = data.draw(st.booleans())
+        G1 = random_neutro_graph(rng, n_real, n_indet, directed, multi)
+        twist = data.draw(st.sampled_from(["twin", "flip", "fresh"]))
+        if twist == "fresh":
+            G2 = random_neutro_graph(rng, n_real, n_indet, directed, multi)
+            G2 = NeutroGraph(n_real, n_indet, G2.edges[: G1.m], directed, multi, multi)
+        else:
+            G2 = relabelled(rng, G1, flip=twist == "flip")
+        got = neutro_isomorphic(G1, G2)
+        assert got == oracles.brute_force_neutro_isomorphic(G1, G2)
+        flag, phi = got
+        if flag:
+            assert sorted(phi) == sorted(phi.values()) == list(range(G1.vertex_count))
+            assert all(phi[v] < n_real for v in range(n_real))
+            mapped = []
+            for u, v, t in G1.edges:
+                a, b = phi[u], phi[v]
+                mapped.append((min(a, b), max(a, b), t) if not directed else (a, b, t))
+            assert sorted(mapped) == list(G2.edges)
+
+    def test_in_and_out_degrees_are_told_apart(self):
+        # a directed 3-path and an out-star share tag degrees when in and
+        # out are added together
+        path = NeutroGraph(3, 0, [(0, 1, "R"), (1, 2, "R")], directed=True)
+        star = NeutroGraph(3, 0, [(1, 0, "R"), (1, 2, "R")], directed=True)
+        assert sorted(_signatures(path)[0]) != sorted(_signatures(star)[0])
+        assert neutro_isomorphic(path, star) == (False, None)
+
+    def test_arcs_to_mapped_vertices_are_checked_both_ways(self):
+        # same in and out degrees: a directed path against a 2-cycle plus an arc
+        path = NeutroGraph(4, 0, [(0, 3, "R"), (3, 1, "R"), (1, 2, "R")], directed=True)
+        other = NeutroGraph(4, 0, [(1, 2, "R"), (2, 1, "R"), (3, 0, "R")], directed=True)
+        assert neutro_isomorphic(path, other) == (False, None)
+
     def test_oriented(self):
         sym = NeutroGraph(1, 2, [(1, 2, "I"), (2, 1, "I")], directed=True)
         assert is_oriented(sym) is False
@@ -378,3 +423,35 @@ class TestIsoOriented:
         assert is_oriented(ok) is True
         with pytest.raises(ValueError):
             is_oriented(walk_graph())
+
+
+def random_neutro_graph(rng, n_real, n_indet, directed, multi):
+    """Random tagged graph; `multi` allows both parallel edges and loops."""
+    n = n_real + n_indet
+    edges = []
+    for _ in range(rng.randint(0, 2 * n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u == v and not multi:
+            continue
+        if not directed:
+            u, v = min(u, v), max(u, v)
+        if not multi and any((a, b) == (u, v) for a, b, _t in edges):
+            continue
+        edges.append((u, v, rng.choice("RI")))
+    return NeutroGraph(n_real, n_indet, edges, directed, multi, multi)
+
+
+def relabelled(rng, G, flip):
+    """G under a random kind-preserving relabelling, one tag flipped on request."""
+    reals = list(range(G.n_real))
+    indets = list(range(G.n_real, G.vertex_count))
+    rng.shuffle(reals)
+    rng.shuffle(indets)
+    phi = reals + indets
+    edges = [(phi[u], phi[v], t) for u, v, t in G.edges]
+    if flip and edges:
+        k = rng.randrange(len(edges))
+        u, v, t = edges[k]
+        edges[k] = (u, v, "R" if t == "I" else "I")
+    return NeutroGraph(G.n_real, G.n_indet, edges, G.directed,
+                       G.allow_multi, G.allow_loops)
