@@ -235,13 +235,7 @@ def cm_run(model, s0, clamp=None):
         trajectory.append(state)
         if state in seen:
             first = seen[state]
-            if first == len(trajectory) - 2:
-                pattern = HiddenPattern("fixed-point", (state,), first)
-            else:
-                pattern = HiddenPattern(
-                    "limit-cycle", tuple(trajectory[first:-1]), first
-                )
-            return pattern, tuple(trajectory)
+            return _project_pattern(trajectory[first:-1], first), tuple(trajectory)
         seen[state] = len(trajectory) - 1
 
 

@@ -7,9 +7,10 @@ depth-first search (Hopcroft-Tarjan), spanning-tree counts from Kirchhoff's
 matrix-tree theorem with the fraction-free elimination of `core`, and the
 perfect-matching decision that accompanies the Tutte matrix from Edmonds'
 blossom algorithm.  Chromatic polynomials peel simplicial vertices and
-branch by deletion-contraction over memoised bitmask states.  Exact
-decision procedures (Hamiltonicity, chromatic number/index) run desk-scale
-backtracking behind the size guards below.
+branch by deletion-contraction over memoised bitmask states.  The
+circumference and Hamiltonian cycles share one iterative search over
+(vertex set, end) states; chromatic number and index run desk-scale
+backtracking.  Every exponential search sits behind a size guard below.
 """
 
 from dataclasses import dataclass
@@ -283,29 +284,21 @@ def metrics(G):
                     best = cand
         girth = best
 
-    circumference = _longest_cycle_length(n, adj, 2 if parallel else 1 if loop else None)
+    # no cycle uses a bridge; a cycle through s lies on vertices >= s, so one
+    # of n - s vertices is the longest any later start can find
+    for u, v in connectivity(G).cut_edges:
+        adj[u].discard(v)
+        adj[v].discard(u)
+    nbrs = [sorted(a) for a in adj]
+    circumference = 2 if parallel else 1 if loop else 0
+    seen = set()
+    for s in range(n):
+        if circumference >= n - s:
+            break
+        circumference = max(circumference, _cycle_search(nbrs, s, n - s, seen)[0])
     connected = n > 0 and None not in dists[0]
     diameter = max(map(max, dists)) if connected else None
-    return MetricsReport(dists, girth, circumference, diameter)
-
-
-def _longest_cycle_length(n, adj, best):
-    """Longest cycle of length >= 3, or `best` (the loop/parallel floor)."""
-
-    def extend(start, last, visited, length):
-        nonlocal best
-        for w in adj[last]:
-            if w == start and length >= 3:
-                if best is None or length > best:
-                    best = length
-            elif w not in visited and w > start:
-                visited.add(w)
-                extend(start, w, visited, length + 1)
-                visited.remove(w)
-
-    for s in range(n):
-        extend(s, s, {s}, 1)
-    return best
+    return MetricsReport(dists, girth, circumference or None, diameter)
 
 
 def is_bipartite(G):
@@ -520,6 +513,9 @@ HAMILTONIAN_GUARD = 14  # vertices
 COLORING_VERTEX_GUARD = 14  # vertices
 COLORING_EDGE_GUARD = 20  # edges
 CHROMATIC_GUARD = 50000  # memo states of chromatic_polynomial
+# (vertex set, end) states of a cycle search: as many as a Hamiltonian
+# search of HAMILTONIAN_GUARD vertices can enter, so that one never trips it
+CYCLE_GUARD = HAMILTONIAN_GUARD << (HAMILTONIAN_GUARD - 1)
 
 
 def hamiltonian(G):
@@ -555,37 +551,43 @@ def hamiltonian(G):
         return closure, True, None
     _check_guard("hamiltonian search", n, "vertices", HAMILTONIAN_GUARD)
 
-    adj = G.adjacency()
-    cycle = _ham_cycle(n, adj)
-    flag = cycle is not None
-    if complete and not flag:
-        raise AssertionError("complete closure must imply a spanning cycle")
-    return closure, flag, cycle
+    cycle = _cycle_search([sorted(a) for a in G.adjacency()], 0, n, set())[1]
+    return closure, cycle is not None, cycle
 
 
-def _ham_cycle(n, adj):
-    start = 0
-    path = [start]
-    on_path = [False] * n
-    on_path[start] = True
+def _cycle_search(nbrs, s, stop, seen):
+    """(longest cycle through `s` on vertices above it or 0, path or None).
 
-    def rec():
-        if len(path) == n:
-            return start in adj[path[-1]]
-        last = path[-1]
-        for w in sorted(adj[last]):
-            if not on_path[w]:
-                on_path[w] = True
-                path.append(w)
-                if rec():
-                    return True
-                path.pop()
-                on_path[w] = False
-        return False
-
-    if n == 0 or not rec():
-        return None
-    return tuple(path)
+    Simple paths from s grow depth-first in the order of the ascending lists
+    `nbrs`; the first path that closes a cycle of `stop` vertices, the
+    lexicographically least, is returned at once.  What can still close from
+    a path depends only on its (vertex set, end) state, so each state is
+    entered once (Bellman 1962, Held-Karp 1962); the guard counts the
+    caller's `seen`.
+    """
+    best = 0
+    path = [s]
+    stack = [(1 << s, iter(nbrs[s]))]
+    while stack:
+        mask, todo = stack[-1]
+        for w in todo:
+            if w == s:
+                if len(path) > max(best, 2):
+                    best = len(path)
+                    if best == stop:
+                        return best, tuple(path)
+            elif w > s and not mask >> w & 1:
+                state = (mask | 1 << w, w)
+                if state not in seen:
+                    seen.add(state)
+                    _check_guard("cycle search", len(seen), "states", CYCLE_GUARD)
+                    path.append(w)
+                    stack.append((state[0], iter(nbrs[w])))
+                    break
+        else:
+            stack.pop()
+            path.pop()
+    return best, None
 
 
 @dataclass(frozen=True)

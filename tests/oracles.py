@@ -8,7 +8,8 @@
 # determinants vs the library's blossom algorithm, plain edge-list
 # deletion-contraction vs the library's simplicial peeling over bitmask
 # states, every vertex permutation vs the library's signature-pruned
-# isomorphism search).  matrix_tree_count
+# isomorphism search, unmemoised recursive path backtracking vs the
+# library's iterative (vertex set, end) cycle search).  matrix_tree_count
 # and squaring_closure below share the library's algorithm but none of its
 # code.
 
@@ -521,6 +522,75 @@ def odd_cycle_exists(n, edges):
         return False
 
     return any(extend([s], {s}) for s in range(n))
+
+
+# --- cycle searches: plain path backtracking, no memo --------------------
+
+
+def _adjacency(n, edges):
+    """Neighbour sets ignoring multiplicity; a loop puts v in its own set."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def backtrack_ham_cycle(n, edges):
+    """The lexicographically least Hamiltonian cycle from vertex 0, or None."""
+    return _ham_cycle(n, _adjacency(n, edges))
+
+
+def backtrack_circumference(n, edges):
+    """Longest cycle; a loop is a cycle of 1 and a parallel pair one of 2."""
+    pairs = [(min(u, v), max(u, v)) for u, v in edges if u != v]
+    floor = (2 if len(set(pairs)) < len(pairs)
+             else 1 if len(pairs) < len(edges) else None)
+    return _longest_cycle_length(n, _adjacency(n, edges), floor)
+
+
+def _ham_cycle(n, adj):
+    start = 0
+    path = [start]
+    on_path = [False] * n
+    on_path[start] = True
+
+    def rec():
+        if len(path) == n:
+            return start in adj[path[-1]]
+        last = path[-1]
+        for w in sorted(adj[last]):
+            if not on_path[w]:
+                on_path[w] = True
+                path.append(w)
+                if rec():
+                    return True
+                path.pop()
+                on_path[w] = False
+        return False
+
+    if n == 0 or not rec():
+        return None
+    return tuple(path)
+
+
+def _longest_cycle_length(n, adj, best):
+    """Longest cycle of length >= 3, or `best` (the loop/parallel floor)."""
+
+    def extend(start, last, visited, length):
+        nonlocal best
+        for w in adj[last]:
+            if w == start and length >= 3:
+                if best is None or length > best:
+                    best = length
+            elif w not in visited and w > start:
+                visited.add(w)
+                extend(start, w, visited, length + 1)
+                visited.remove(w)
+
+    for s in range(n):
+        extend(s, s, {s}, 1)
+    return best
 
 
 def plain_isomorphic(n1, edges1, n2, edges2):

@@ -203,6 +203,16 @@ class TestPolynomialTotality:
         )
 
 
+class TestCycleSearchTotality:
+    def test_guard_exits_4(self, python_child):
+        r = python_child(
+            "-m", "neutromap.cli", "graph", "analyze", "complete-bipartite-9-10",
+            "--metrics", timeout=30,
+        )
+        assert (r.returncode, r.stdout) == (4, "")
+        assert r.stderr == "error: cycle search guard: 114689 states exceeds 114688\n"
+
+
 class TestNgraphCommands:
     def test_classify(self, capsys):
         code, out, _ = run(

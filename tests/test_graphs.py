@@ -201,6 +201,34 @@ class TestMetrics:
         girth = nx.girth(H)
         assert metrics(Graph(n, edges)).girth == (None if girth == math.inf else girth)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10), st.booleans(), st.data())
+    def test_circumference_matches_backtracking(self, n, multi, data):
+        if multi:
+            pairs = [(u, v) for u in range(n) for v in range(u, n)]
+            edges = data.draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else []
+        else:
+            rng = random.Random(data.draw(st.integers(0, 2**32)))
+            edges = shaped_graph(rng, n, data.draw(st.sampled_from(
+                ["random", "disconnected", "complete", "chordal", "cycle"])))
+        G = Graph(n, edges, allow_multi=multi, allow_loops=multi)
+        assert metrics(G).circumference == oracles.backtrack_circumference(n, edges)
+
+    def test_long_cycle_and_path_need_no_deep_recursion(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 50)
+        try:
+            cycle = metrics(generate("cycle", 300)).circumference
+            path = metrics(generate("path", 300)).circumference
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (cycle, path) == (300, None)
+
+    def test_complete_14_stops_at_the_first_spanning_cycle(self):
+        t0 = time.perf_counter()
+        assert metrics(generate("complete", 14)).circumference == 14
+        assert time.perf_counter() - t0 < 1.0
+
     def test_distances(self):
         r = metrics(generate("cycle", 4))
         assert r.distances[0] == (0, 1, 2, 1)
@@ -323,6 +351,22 @@ class TestHamiltonian:
         G = edit(generate("complete", 5), "delete-edges", [(0, 1)])
         closure, flag, cyc = hamiltonian(G)
         assert closure.m == 10 and flag
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(3, 10), st.data())
+    def test_cycle_matches_backtracking(self, n, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        edges = shaped_graph(rng, n, data.draw(st.sampled_from(
+            ["random", "disconnected", "complete", "chordal", "cycle"])))
+        _closure, flag, cycle = hamiltonian(Graph(n, edges))
+        expected = oracles.backtrack_ham_cycle(n, edges)
+        assert (flag, cycle) == (expected is not None, expected)
+
+    def test_full_search_at_the_vertex_guard_stays_inside_the_state_guard(self):
+        # K13 on 1..13 plus a pendant vertex 0: every path 0, 1, ... is tried
+        edges = [(0, 1)] + [(u, v) for u in range(1, 14) for v in range(u + 1, 14)]
+        closure, flag, cycle = hamiltonian(Graph(14, edges))
+        assert (closure.m, flag, cycle) == (79, False, None)
 
     def test_big_complete_closure_shortcut(self):
         closure, flag, cyc = hamiltonian(generate("complete", 16))
@@ -456,11 +500,8 @@ class TestPolynomial:
             assert p(k) == oracles.count_proper_colorings(n, edges, k)
 
     def test_long_cycle_and_path_need_no_deep_recursion(self):
-        depth, frame = 0, sys._getframe()
-        while frame is not None:
-            depth, frame = depth + 1, frame.f_back
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 50)
+        sys.setrecursionlimit(stack_depth() + 50)
         try:
             p = chromatic_polynomial(generate("cycle", 300))
         finally:
@@ -480,6 +521,14 @@ class TestPolynomial:
         ):
             chromatic_polynomial(generate("complete-bipartite", 7, 7))
         assert chromatic_polynomial(generate("complete", 30)).degree == 30
+
+
+def stack_depth():
+    """Frames on the caller's stack, the caller's own included."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
 
 
 def shaped_graph(rng, n, shape):
