@@ -3,7 +3,9 @@
 Concept models (FCM/NCM) iterate a state vector against a square weight
 matrix through a threshold; relational models (FRM/NRM) bounce a vector
 between a domain side and a range side through the matrix and its
-transpose.  Both stop at the first repeated state and report the hidden
+transpose.  Each update thresholds one row product from `core.nm_mul`, so
+this module does no a+bI arithmetic of its own.  Both engines share one
+loop that stops at the first repeated state and report the hidden
 pattern: a fixed point or a limit cycle.
 
 All weights are restricted to {-1, 0, 1, I}; activations live in {0, 1, I}.
@@ -21,6 +23,7 @@ from .core import (
     ZERO,
     _as_nn,
     _check_guard,
+    nm_mul,
 )
 
 MINUS_ONE = -ONE
@@ -70,12 +73,9 @@ class ConceptModel:
         self.concept_names = _check_names(concept_names, "concept")
         n = len(self.concept_names)
         self.weights = _check_weights(weights, n, n, "concept model")
-        if default_clamp is not None:
-            default_clamp = frozenset(default_clamp)
-            for i in default_clamp:
-                if not 0 <= i < n:
-                    raise ValueError("clamp index %r out of range" % (i,))
-        self.default_clamp = default_clamp
+        self.default_clamp = (
+            None if default_clamp is None else _resolve_clamp(None, default_clamp, n)
+        )
 
     @property
     def size(self):
@@ -184,16 +184,28 @@ def basis_state(n, on_indices):
     return tuple(ONE if i in on else ZERO for i in range(n))
 
 
-def _row_times(state, M):
-    """state (len rows) times M -> vector of len cols."""
-    return tuple(
-        sum((state[i] * M.entry(i, j) for i in range(M.rows)), ZERO)
-        for j in range(M.cols)
-    )
-
-
 def _clampfix(state, clamp):
     return tuple(ONE if i in clamp else x for i, x in enumerate(state))
+
+
+def _update(state, M, clamp):
+    """threshold(state * M), then the clamped coordinates forced to 1."""
+    raw = nm_mul(NeutroMatrix([state]), M).row(0)
+    return _clampfix(tuple(threshold(x) for x in raw), clamp)
+
+
+def _run(start, step):
+    """(first visit of the repeated state, trajectory from start to its repeat)."""
+    trajectory = [start]
+    seen = {start: 0}
+    # Ends by pigeonhole: a state (a pair for rm_run) holds k values in
+    # {0, 1, I}, so one repeats within 3**k + 1 steps.
+    while True:
+        state = step(trajectory[-1])
+        trajectory.append(state)
+        if state in seen:
+            return seen[state], tuple(trajectory)
+        seen[state] = len(trajectory) - 1
 
 
 def _resolve_clamp(s0, clamp, n):
@@ -222,21 +234,10 @@ def cm_run(model, s0, clamp=None):
     if clamp is None and model.default_clamp is not None:
         clamp = model.default_clamp
     clamp = _resolve_clamp(s, clamp, n)
-
-    state = _clampfix(s, clamp)
-    trajectory = [state]
-    seen = {state: 0}
-    # Ends by pigeonhole: states are n-tuples over {0, 1, I}, so one repeats
-    # within 3**n + 1 steps.
-    while True:
-        state = _clampfix(
-            tuple(threshold(x) for x in _row_times(state, model.weights)), clamp
-        )
-        trajectory.append(state)
-        if state in seen:
-            first = seen[state]
-            return _project_pattern(trajectory[first:-1], first), tuple(trajectory)
-        seen[state] = len(trajectory) - 1
+    first, trajectory = _run(
+        _clampfix(s, clamp), lambda state: _update(state, model.weights, clamp)
+    )
+    return _project_pattern(trajectory[first:-1], first), trajectory
 
 
 def degrade(model):
@@ -340,27 +341,20 @@ def rm_run(model, s0, side="domain", clamp=None):
     # A is the start side, B the other; M maps A to B and MT maps back.
     W, WT = model.weights, model.weights.transpose()
     M, MT = (W, WT) if side == "domain" else (WT, W)
-    A = _clampfix(s, clamp)
-    B = tuple(ZERO for _ in range(M.cols))
-    pair = (A, B) if side == "domain" else (B, A)
-    trajectory = [pair]
-    seen = {pair: 0}
-    # Ends by pigeonhole: pairs are (m+n)-tuples over {0, 1, I}, so one
-    # repeats within 3**(m+n) + 1 steps.
-    while True:
-        B = tuple(threshold(x) for x in _row_times(A, M))
-        A = _clampfix(tuple(threshold(x) for x in _row_times(B, MT)), clamp)
-        pair = (A, B) if side == "domain" else (B, A)
-        trajectory.append(pair)
-        if pair in seen:
-            first = seen[pair]
-            cycle = trajectory[first:-1]
-            return RmResult(
-                _project_pattern([p[0] for p in cycle], first),
-                _project_pattern([p[1] for p in cycle], first),
-                tuple(trajectory),
-            )
-        seen[pair] = len(trajectory) - 1
+
+    def step(pair):
+        B = _update(pair[0], M, ())
+        return _update(B, MT, clamp), B
+
+    first, trajectory = _run((_clampfix(s, clamp), (ZERO,) * M.cols), step)
+    if side == "range":
+        trajectory = tuple((X, Y) for Y, X in trajectory)
+    cycle = trajectory[first:-1]
+    return RmResult(
+        _project_pattern([p[0] for p in cycle], first),
+        _project_pattern([p[1] for p in cycle], first),
+        trajectory,
+    )
 
 
 def _project_pattern(states, first):

@@ -159,7 +159,8 @@ def _parse_concept_body(body):
     names = body[0][1].split()[1:]
     i = 1
     clamp_names = None
-    if i < len(body) and body[i][1].startswith("clamp "):
+    # a bare `clamp` line is the empty clamp: clamp nothing, unlike no line
+    if i < len(body) and body[i][1].split()[0] == "clamp":
         clamp_names = body[i][1].split()[1:]
         i += 1
     if i >= len(body) or body[i][1] != "matrix":
@@ -208,10 +209,9 @@ def _write_relation_body(R):
 def _write_concept_body(model):
     lines = ["concepts " + " ".join(model.concept_names)]
     if model.default_clamp is not None:
-        lines.append(
-            "clamp "
-            + " ".join(model.concept_names[i] for i in sorted(model.default_clamp))
-        )
+        lines.append(" ".join(
+            ["clamp"] + [model.concept_names[i] for i in sorted(model.default_clamp)]
+        ))
     return lines + ["matrix"] + render_matrix(model.weights).splitlines()
 
 

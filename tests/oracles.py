@@ -2,7 +2,8 @@
 # here imports the package under test; the code paths are deliberately
 # different from the shipped algorithms (deletion-contraction tree counts vs
 # the library's matrix-tree theorem, Floyd-Warshall vs repeated squaring,
-# plain int FCM vs the exact engine, Fraction Gaussian elimination vs the
+# plain int FCM and (a, b) pair map runs vs the exact engine over the
+# library's integer split products, Fraction Gaussian elimination vs the
 # library's fraction-free ranks, pair and (magnitude, flag) arithmetic vs
 # the library's integer split products and rank codes, random Tutte
 # determinants vs the library's blossom algorithm, plain edge-list
@@ -184,6 +185,95 @@ def crisp_fcm_run(M, s0, clamp):
         seen[nxt] = len(traj)
         traj.append(nxt)
         state = nxt
+
+
+# --- neutrosophic map runs over (a, b) pairs -----------------------------
+
+
+def pair_threshold(x):
+    """Activation rule: a > 0 -> 1; a = 0 with b > 0 -> I; else 0."""
+    a, b = x
+    if a > 0:
+        return (1, 0)
+    if a == 0 and b > 0:
+        return (0, 1)
+    return (0, 0)
+
+
+def _pair_update(state, W, clamp):
+    raw = pmat_mul([list(state)], W)[0]
+    return tuple(
+        (1, 0) if j in clamp else pair_threshold(x) for j, x in enumerate(raw)
+    )
+
+
+def _on_coordinates(s0, clamp):
+    if clamp is None:
+        return {i for i, x in enumerate(s0) if x != (0, 0)}
+    return set(clamp)
+
+
+def _run_until_repeat(state, step):
+    """(index of the first visit of the repeated state, whole walk)."""
+    walk = [state]
+    while True:
+        state = step(state)
+        if state in walk:
+            return walk.index(state), walk + [state]
+        walk.append(state)
+
+
+def _pair_pattern(states, first):
+    if len(set(states)) == 1:
+        return ("fixed-point", [states[0]], first)
+    return ("limit-cycle", list(states), first)
+
+
+def pair_cm_run(W, s0, clamp=None):
+    """Concept-map run on pair weights: s <- threshold(s*W), clamp forced to 1.
+
+    clamp None clamps the nonzero coordinates of s0.  Returns
+    ((kind, pattern states, steps to enter), walk) where the walk ends with
+    the first repeated state.
+    """
+    clamp = _on_coordinates(s0, clamp)
+    start = tuple((1, 0) if i in clamp else x for i, x in enumerate(s0))
+    first, walk = _run_until_repeat(
+        start, lambda s: _pair_update(s, W, clamp)
+    )
+    return _pair_pattern(walk[first:-1], first), walk
+
+
+def pair_rm_run(W, s0, side, clamp=None):
+    """Relational-map run on m x n pair weights from the domain or range side.
+
+    Each step maps the start side through W (or W^T) to the other side, then
+    back, clamping the start side.  Returns (domain pattern, range pattern,
+    walk of (domain state, range state) pairs), patterns as in pair_cm_run.
+    """
+    clamp = _on_coordinates(s0, clamp)
+    WT = pmat_transpose(W)
+    there, back = (W, WT) if side == "domain" else (WT, W)
+    start = tuple((1, 0) if i in clamp else x for i, x in enumerate(s0))
+    other = tuple((0, 0) for _ in there[0])
+
+    def step(pair):
+        X, Y = pair
+        if side == "domain":
+            Y = _pair_update(X, there, set())
+            return (_pair_update(Y, back, clamp), Y)
+        X = _pair_update(Y, there, set())
+        return (X, _pair_update(X, back, clamp))
+
+    first, walk = _run_until_repeat(
+        (start, other) if side == "domain" else (other, start), step
+    )
+    cycle = walk[first:-1]
+    return (
+        _pair_pattern([p[0] for p in cycle], first),
+        _pair_pattern([p[1] for p in cycle], first),
+        walk,
+    )
 
 
 # --- rank by Gaussian elimination over Fraction --------------------------

@@ -301,6 +301,9 @@ def test_c12_dynamics_sweep_over_all_fixture_models():
     for name, model in models:
         n = model.size
         assert n <= 8
+        pair_weights = [
+            [(x.real, x.indet) for x in row] for row in model.weights
+        ]
         int_weights = None
         if all(
             model.weights.entry(i, j).indet == 0
@@ -321,12 +324,12 @@ def test_c12_dynamics_sweep_over_all_fixture_models():
             # the reported pattern satisfies the update equation
             cycle = pattern.states
             for s, nxt in zip(cycle, cycle[1:] + (cycle[0],)):
-                raw = nm_mul(NeutroMatrix([list(s)]), model.weights)
+                raw = oracles.pmat_mul([[(x.real, x.indet) for x in s]], pair_weights)
                 stepped = tuple(
-                    ONE if j in clamp else engines.threshold(raw.entry(0, j))
+                    (1, 0) if j in clamp else oracles.pair_threshold(raw[0][j])
                     for j in range(n)
                 )
-                assert stepped == nxt
+                assert stepped == tuple((x.real, x.indet) for x in nxt)
 
             # on indeterminacy-free weights the run is exactly the crisp one
             if int_weights is not None:

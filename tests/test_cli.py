@@ -4,9 +4,13 @@ import io
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neutromap.cli import main
-from neutromap.formats import parse_model, serialize_model
+from neutromap.core import I, NeutroMatrix, ONE, ZERO
+from neutromap.engines import ConceptModel, RelationalModel
+from neutromap.formats import model_for, parse_model, serialize_model
 
 import goldens
 
@@ -23,6 +27,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def name_lists(low, high):
+    name = st.text(alphabet="abcxyzAB019_-", min_size=1, max_size=4)
+    return st.lists(name, min_size=low, max_size=high, unique=True)
+
+
+def weight_matrices(rows, cols):
+    row = st.lists(
+        st.sampled_from((-ONE, ZERO, ONE, I)), min_size=cols, max_size=cols
+    )
+    return st.lists(row, min_size=rows, max_size=rows).map(NeutroMatrix)
+
+
 class TestModelFiles:
     def test_every_fixture_round_trips(self):
         names = sorted(n for n in os.listdir(FIXTURES) if n.endswith(".model"))
@@ -31,6 +47,39 @@ class TestModelFiles:
             with open(fx(name), "r", encoding="utf-8") as fh:
                 text = fh.read()
             assert serialize_model(parse_model(text)) == text, name
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_concept_model_round_trips(self, data):
+        names = data.draw(name_lists(1, 5))
+        n = len(names)
+        clamp = data.draw(st.one_of(
+            st.none(), st.frozensets(st.integers(0, n - 1), max_size=n)
+        ))
+        model = ConceptModel(names, data.draw(weight_matrices(n, n)), clamp)
+        assert parse_model(serialize_model(model_for(model))).payload == model
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_relational_model_round_trips(self, data):
+        names = data.draw(name_lists(2, 8))
+        cut = data.draw(st.integers(1, len(names) - 1))
+        domain, rng = names[:cut], names[cut:]
+        model = RelationalModel(
+            domain, rng, data.draw(weight_matrices(len(domain), len(rng)))
+        )
+        assert parse_model(serialize_model(model_for(model))).payload == model
+
+    def test_empty_clamp_is_a_bare_clamp_line(self, capsys, tmp_path):
+        model = ConceptModel(["A", "B"], NeutroMatrix([[0, 1], [0, 0]]), [])
+        text = serialize_model(model_for(model))
+        assert "\nclamp\nmatrix\n" in text
+        path = tmp_path / "empty-clamp.model"
+        path.write_text(text)
+        # with no clamp the start A decays: 1 0 -> 0 1 -> 0 0
+        code, out, _ = run(capsys, "cm", "run", str(path), "--on", "A")
+        assert code == 0
+        assert "fixed point: 0 0" in out
 
     def test_bad_header_is_a_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.model"

@@ -1,6 +1,8 @@
 """Unit tests for the cognitive-map inference engines."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neutromap.core import (
     I,
@@ -49,6 +51,15 @@ def relational_model(matrix):
     dom = ["D%d" % (i + 1) for i in range(weights.rows)]
     ran = ["R%d" % (j + 1) for j in range(weights.cols)]
     return RelationalModel(dom, ran, weights)
+
+
+def as_pairs(values):
+    """NeutroNumbers as (a, b) pairs, the oracles' representation."""
+    return tuple((x.real, x.indet) for x in values)
+
+
+def pair_rows(M):
+    return [list(as_pairs(row)) for row in M]
 
 
 class TestThreshold:
@@ -164,11 +175,11 @@ class TestCmRun:
         for matrix in (goldens.CHILD_E, goldens.CHILD_NE, goldens.CHILD_E1):
             model = concept_model(matrix)
             pattern, _ = cm_run(model, basis_state(model.size, [0]))
-            s = pattern.states[0]
-            raw = nm_mul(NeutroMatrix([list(s)]), model.weights)
-            nxt = tuple(threshold(raw.entry(0, j)) for j in range(model.size))
+            s = as_pairs(pattern.states[0])
+            raw = oracles.pmat_mul([list(s)], pair_rows(model.weights))[0]
+            nxt = tuple(oracles.pair_threshold(x) for x in raw)
             clamped = tuple(
-                ONE if j == 0 else x for j, x in enumerate(nxt)
+                (1, 0) if j == 0 else x for j, x in enumerate(nxt)
             )
             assert clamped == s
 
@@ -240,6 +251,68 @@ class TestCmRun:
             assert walked == [tuple(s) for s in otraj]
 
 
+WEIGHT_PAIRS = ((-1, 0), (0, 0), (1, 0), (0, 1))
+ACTIVATION_PAIRS = ((0, 0), (1, 0), (0, 1))
+
+
+def pair_matrix(rows, cols):
+    row = st.lists(st.sampled_from(WEIGHT_PAIRS), min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+def pair_state(size):
+    return st.lists(st.sampled_from(ACTIVATION_PAIRS), min_size=size, max_size=size)
+
+
+def clamps(size):
+    """None (clamp the start's on-coordinates), empty, or any index set."""
+    return st.one_of(
+        st.none(), st.just(frozenset()), st.frozensets(st.integers(0, size - 1))
+    )
+
+
+def pattern_pairs(pattern):
+    return (
+        pattern.kind, [as_pairs(s) for s in pattern.states], pattern.steps_to_enter
+    )
+
+
+class TestAgainstPairOracle:
+    """Whole runs against oracles.pair_cm_run / pair_rm_run, which share no code
+    with the engines' update (I weights, I starts, every clamp kind)."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_cm_run(self, data):
+        n = data.draw(st.integers(1, 7))
+        W = data.draw(pair_matrix(n, n))
+        s0 = data.draw(pair_state(n))
+        default, clamp = data.draw(clamps(n)), data.draw(clamps(n))
+        model = concept_model(W, default_clamp=default)
+        pattern, traj = cm_run(model, [NeutroNumber(*x) for x in s0], clamp)
+        expect, walk = oracles.pair_cm_run(
+            W, s0, default if clamp is None else clamp
+        )
+        assert [as_pairs(s) for s in traj] == walk
+        assert pattern_pairs(pattern) == expect
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(1, 7), st.integers(1, 7), st.data())
+    def test_rm_run(self, m, n, data):
+        W = data.draw(pair_matrix(m, n))
+        side = data.draw(st.sampled_from(("domain", "range")))
+        size = m if side == "domain" else n
+        s0 = data.draw(pair_state(size))
+        clamp = data.draw(clamps(size))
+        result = rm_run(
+            relational_model(W), [NeutroNumber(*x) for x in s0], side, clamp
+        )
+        domain, rng, walk = oracles.pair_rm_run(W, s0, side, clamp)
+        assert [(as_pairs(X), as_pairs(Y)) for X, Y in result.trajectory] == walk
+        assert pattern_pairs(result.domain) == domain
+        assert pattern_pairs(result.range) == rng
+
+
 class TestDegrade:
     def test_replaces_indeterminate_weights(self):
         model = concept_model(goldens.CHILD_NE)
@@ -306,7 +379,7 @@ class TestLink:
         A = NeutroMatrix([[1, 0, 1], [0, 1, 0]])
         B = NeutroMatrix([[1, 0], [0, 1], [1, 1]])
         raw, signed = link([A, B])
-        assert raw == nm_mul(A, B)
+        assert pair_rows(raw) == oracles.pmat_mul(pair_rows(A), pair_rows(B))
         assert signed.entry(0, 0) == ONE  # 2 thresholds to 1
 
     def test_sign_threshold_keeps_indeterminacy(self):
