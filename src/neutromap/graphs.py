@@ -6,11 +6,14 @@ them internally).  Cut vertices and bridges come from one lowpoint
 depth-first search (Hopcroft-Tarjan), spanning-tree counts from Kirchhoff's
 matrix-tree theorem with the fraction-free elimination of `core`, and the
 perfect-matching decision that accompanies the Tutte matrix from Edmonds'
-blossom algorithm.  Chromatic polynomials peel simplicial vertices and
-branch by deletion-contraction over memoised bitmask states.  The
-circumference and Hamiltonian cycles share one iterative search over
-(vertex set, end) states; chromatic number and index run desk-scale
-backtracking.  Every exponential search sits behind a size guard below.
+blossom algorithm, girth from breadth-first searches that stop early
+(Itai-Rodeh).  Chromatic polynomials peel simplicial vertices and branch by
+deletion-contraction over memoised bitmask states.  The Bondy-Chvatal
+closure is degree-gated, and a vertex of degree below 2 answers "not
+Hamiltonian" without a search.  The circumference and Hamiltonian cycles
+share one iterative search over (vertex set, end) states; chromatic number
+and index run desk-scale backtracking.  Every exponential search sits
+behind a size guard below.
 """
 
 from dataclasses import dataclass
@@ -255,6 +258,10 @@ def metrics(G):
     adj = G.adjacency()
     dists = tuple(tuple(_bfs_dist(n, adj, s)) for s in range(n))
 
+    # no cycle uses a bridge, so both cycle searches run without them
+    for u, v in connectivity(G).cut_edges:
+        adj[u].discard(v)
+        adj[v].discard(u)
     # edges are sorted, so parallel pairs sit next to each other
     loop = any(u == v for u, v in G.edges)
     parallel = any(a == b and a[0] != a[1] for a, b in zip(G.edges, G.edges[1:]))
@@ -263,32 +270,10 @@ def metrics(G):
     elif parallel:
         girth = 2
     else:
-        # from each source, an edge inside BFS layer d bounds the girth by 2d+1,
-        # and a vertex in layer d with two neighbours in layer d-1 bounds it by
-        # 2d; both bounds are tight from a source on a shortest cycle
-        best = None
-        for dist in dists:
-            closer = [0] * n  # neighbours one layer nearer to the source
-            for u, v in G.edges:
-                if dist[u] is None:
-                    continue
-                if dist[u] == dist[v]:
-                    cand = 2 * dist[u] + 1
-                else:
-                    w = u if dist[u] > dist[v] else v
-                    closer[w] += 1
-                    if closer[w] < 2:
-                        continue
-                    cand = 2 * dist[w]
-                if best is None or cand < best:
-                    best = cand
-        girth = best
+        girth = _girth(n, adj)
 
-    # no cycle uses a bridge; a cycle through s lies on vertices >= s, so one
-    # of n - s vertices is the longest any later start can find
-    for u, v in connectivity(G).cut_edges:
-        adj[u].discard(v)
-        adj[v].discard(u)
+    # a cycle through s lies on vertices >= s, so one of n - s vertices is
+    # the longest any later start can find
     nbrs = [sorted(a) for a in adj]
     circumference = 2 if parallel else 1 if loop else 0
     seen = set()
@@ -299,6 +284,36 @@ def metrics(G):
     connected = n > 0 and None not in dists[0]
     diameter = max(map(max, dists)) if connected else None
     return MetricsReport(dists, girth, circumference or None, diameter)
+
+
+def _girth(n, adj):
+    """Shortest cycle of a simple graph, or None (Itai-Rodeh 1978).
+
+    A BFS from each source meets an edge xy with x in layer d and y already
+    in layer d or d+1, which closes a cycle of at most d + dist(y) + 1,
+    tight from a source on a shortest cycle; an edge back to layer d-1 was
+    met from its other end.  Layer d gives no less than 2d+1, so a BFS stops
+    at the first layer where that reaches the best bound, and 3 ends them all.
+    """
+    best = n + 1
+    for s in range(n):
+        dist = [-1] * n
+        dist[s] = 0
+        queue = [s]
+        for x in queue:
+            d = dist[x]
+            if 2 * d + 1 >= best:
+                break
+            for y in adj[x]:
+                dy = dist[y]
+                if dy < 0:
+                    dist[y] = d + 1
+                    queue.append(y)
+                elif dy >= d and d + dy + 1 < best:
+                    best = d + dy + 1
+        if best == 3:
+            break
+    return best if best <= n else None
 
 
 def is_bipartite(G):
@@ -523,7 +538,11 @@ def hamiltonian(G):
 
     Returns (closure, is_hamiltonian, cycle-or-None).  Beyond the guard the
     answer is only produced when the closure is complete (then the flag is
-    true with no explicit cycle).
+    true with no explicit cycle).  Each closure round joins the missing
+    pairs whose degrees sum to at least n, looking only among vertices that
+    reach n with the largest degree, so a graph whose two largest degrees
+    sum below n is its own closure at O(n + m).  A vertex of degree below 2
+    rules out a spanning cycle, so then no search runs.
     """
     if not G.is_simple():
         raise ValueError("hamiltonicity check needs a simple graph")
@@ -531,25 +550,37 @@ def hamiltonian(G):
     if n < 3:
         raise ValueError("hamiltonicity is undefined below 3 vertices")
 
-    closure_edges = set(G.edges)
-    changed = True
-    while changed:
-        changed = False
-        deg = [0] * n
-        for u, v in closure_edges:
+    adj = G.adjacency()
+    deg = G.degrees()
+    low = min(deg)
+    added = []
+    while True:
+        top = max(deg)
+        rows = sorted((u for u in range(n) if deg[u] + top >= n),
+                      key=deg.__getitem__, reverse=True)
+        new = []
+        for i, u in enumerate(rows):
+            need = n - deg[u]
+            for v in rows[i + 1:]:
+                if deg[v] < need:
+                    break
+                if v not in adj[u]:
+                    new.append((u, v))
+        if not new:
+            break
+        for u, v in new:
+            adj[u].add(v)
+            adj[v].add(u)
             deg[u] += 1
             deg[v] += 1
-        for u in range(n):
-            for v in range(u + 1, n):
-                if (u, v) not in closure_edges and deg[u] + deg[v] >= n:
-                    closure_edges.add((u, v))
-                    changed = True
-    closure = Graph(n, closure_edges)
-    complete = len(closure_edges) == n * (n - 1) // 2
+        added += new
+    closure = Graph(n, G.edges + tuple(added)) if added else G
 
-    if complete and n > HAMILTONIAN_GUARD:
+    if min(deg) == n - 1 and n > HAMILTONIAN_GUARD:
         return closure, True, None
     _check_guard("hamiltonian search", n, "vertices", HAMILTONIAN_GUARD)
+    if low < 2:
+        return closure, False, None
 
     cycle = _cycle_search([sorted(a) for a in G.adjacency()], 0, n, set())[1]
     return closure, cycle is not None, cycle

@@ -137,16 +137,15 @@ def from_adjacency(M, indet_vertices=0, directed=False):
                 )
     edges = []
     if directed:
-        loops = False
         for i in range(M.rows):
+            if M.entry(i, i) != ZERO:
+                raise ValueError("directed adjacency needs a zero diagonal")
             for j in range(M.cols):
                 x = M.entry(i, j)
                 if x != ZERO:
                     edges.append((i, j, "I" if x == I else "R"))
-                    loops = loops or i == j
         return NeutroGraph(
-            M.rows - indet_vertices, indet_vertices, edges,
-            directed=True, allow_loops=loops,
+            M.rows - indet_vertices, indet_vertices, edges, directed=True
         )
     for i in range(M.rows):
         if M.entry(i, i) != ZERO:

@@ -10,9 +10,10 @@
 # deletion-contraction vs the library's simplicial peeling over bitmask
 # states, every vertex permutation vs the library's signature-pruned
 # isomorphism search, unmemoised recursive path backtracking vs the
-# library's iterative (vertex set, end) cycle search).  matrix_tree_count
-# and squaring_closure below share the library's algorithm but none of its
-# code.
+# library's iterative (vertex set, end) cycle search, every pair rescanned
+# per round vs the library's degree-gated Bondy-Chvatal closure rounds).
+# matrix_tree_count and squaring_closure below share the library's algorithm
+# but none of its code.
 
 import itertools
 import math
@@ -637,6 +638,25 @@ def backtrack_circumference(n, edges):
     floor = (2 if len(set(pairs)) < len(pairs)
              else 1 if len(pairs) < len(edges) else None)
     return _longest_cycle_length(n, _adjacency(n, edges), floor)
+
+
+def round_closure(n, edges):
+    """Bondy-Chvatal closure: every round recounts the degrees and joins each
+    missing pair whose degrees sum to at least n; sorted (u, v) pairs."""
+    closure = {(min(u, v), max(u, v)) for u, v in edges}
+    changed = True
+    while changed:
+        changed = False
+        deg = [0] * n
+        for u, v in closure:
+            deg[u] += 1
+            deg[v] += 1
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (u, v) not in closure and deg[u] + deg[v] >= n:
+                    closure.add((u, v))
+                    changed = True
+    return tuple(sorted(closure))
 
 
 def _ham_cycle(n, adj):

@@ -11,6 +11,9 @@ from neutromap.cli import main
 from neutromap.core import I, NeutroMatrix, ONE, ZERO
 from neutromap.engines import ConceptModel, RelationalModel
 from neutromap.formats import model_for, parse_model, serialize_model
+from neutromap.graphs import Graph
+from neutromap.ngraph import from_adjacency
+from neutromap.relations import FuzzyNeutroRelation, FuzzyNeutroValue
 
 import goldens
 
@@ -69,6 +72,48 @@ class TestModelFiles:
             domain, rng, data.draw(weight_matrices(len(domain), len(rng)))
         )
         assert parse_model(serialize_model(model_for(model))).payload == model
+
+    @settings(deadline=None)
+    @given(st.integers(0, 8), st.data())
+    def test_graph_round_trips(self, n, data):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        G = Graph(n, edges)
+        assert parse_model(serialize_model(model_for(G))).payload == G
+
+    @settings(deadline=None)
+    @given(st.integers(1, 6), st.booleans(), st.data())
+    def test_neutro_graph_round_trips(self, n, directed, data):
+        # every graph from_adjacency accepts must survive the model format,
+        # which carries no loops
+        entry = st.sampled_from((ZERO, ONE, I))
+        diagonal = data.draw(st.lists(st.sampled_from((ZERO, ZERO, ZERO, ONE, I)),
+                                      min_size=n, max_size=n))
+        rows = [[diagonal[i] if i == j else data.draw(entry) for j in range(n)]
+                for i in range(n)]
+        if not directed:
+            rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        try:
+            G = from_adjacency(NeutroMatrix(rows), data.draw(st.integers(0, n)), directed)
+        except ValueError as exc:
+            assert "adjacency needs a zero diagonal" in str(exc)
+            assert any(x != ZERO for x in diagonal)
+            return
+        assert parse_model(serialize_model(model_for(G))).payload == G
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_relation_round_trips(self, data):
+        rows, cols = data.draw(name_lists(1, 4)), data.draw(name_lists(1, 4))
+        grade = st.builds(
+            FuzzyNeutroValue,
+            st.fractions(0, 1, max_denominator=12),
+            st.booleans(),
+        )
+        values = data.draw(st.lists(st.lists(grade, min_size=len(cols), max_size=len(cols)),
+                                    min_size=len(rows), max_size=len(rows)))
+        R = FuzzyNeutroRelation(rows, cols, values)
+        assert parse_model(serialize_model(model_for(R))).payload == R
 
     def test_empty_clamp_is_a_bare_clamp_line(self, capsys, tmp_path):
         model = ConceptModel(["A", "B"], NeutroMatrix([[0, 1], [0, 0]]), [])
@@ -245,7 +290,8 @@ class TestPolynomialTotality:
         assert line.endswith(" - x")
 
     def test_guard_exits_4(self, python_child):
-        r = self.analyze(python_child, "complete-bipartite-25-25", timeout=60)
+        # K20,23 and K21,22 are the smallest named graphs that trip the guard
+        r = self.analyze(python_child, "complete-bipartite-20-23", timeout=60)
         assert (r.returncode, r.stdout) == (4, "")
         assert r.stderr == (
             "error: chromatic polynomial guard: 50001 states exceeds 50000\n"

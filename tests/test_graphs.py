@@ -201,6 +201,27 @@ class TestMetrics:
         girth = nx.girth(H)
         assert metrics(Graph(n, edges)).girth == (None if girth == math.inf else girth)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 40), st.data())
+    def test_sparse_girth_matches_networkx(self, n, data):
+        # long shortest cycles, where each BFS runs many layers before it stops
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        edges = oracles.random_simple_graph(rng, n, rng.choice([0.03, 0.06, 0.1]))
+        H = nx.Graph()
+        H.add_nodes_from(range(n))
+        H.add_edges_from(edges)
+        girth = nx.girth(H)
+        # the circumference beside it in `metrics` is guarded at this size
+        got = graphs._girth(n, Graph(n, edges).adjacency())
+        assert got == (None if girth == math.inf else girth)
+
+    def test_dense_girth_stops_at_the_first_triangle(self):
+        t0 = time.perf_counter()
+        assert graphs._girth(300, generate("complete", 300).adjacency()) == 3
+        assert graphs._girth(60, generate("complete-bipartite", 30, 30).adjacency()) == 4
+        assert time.perf_counter() - t0 < 1.0
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 10), st.booleans(), st.data())
     def test_circumference_matches_backtracking(self, n, multi, data):
@@ -350,7 +371,7 @@ class TestHamiltonian:
         # K5 minus one edge: degree sum of the missing pair is 3+3=6 >= 5
         G = edit(generate("complete", 5), "delete-edges", [(0, 1)])
         closure, flag, cyc = hamiltonian(G)
-        assert closure.m == 10 and flag
+        assert closure == generate("complete", 5) and flag
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(3, 10), st.data())
@@ -365,8 +386,46 @@ class TestHamiltonian:
     def test_full_search_at_the_vertex_guard_stays_inside_the_state_guard(self):
         # K13 on 1..13 plus a pendant vertex 0: every path 0, 1, ... is tried
         edges = [(0, 1)] + [(u, v) for u in range(1, 14) for v in range(u + 1, 14)]
-        closure, flag, cycle = hamiltonian(Graph(14, edges))
+        G = Graph(14, edges)
+        closure, flag, cycle = hamiltonian(G)
         assert (closure.m, flag, cycle) == (79, False, None)
+        # hamiltonian skips the search below degree 2, so run it directly
+        nbrs = [sorted(a) for a in G.adjacency()]
+        seen = set()
+        assert graphs._cycle_search(nbrs, 0, 14, seen) == (0, None)
+        assert 0 < len(seen) <= graphs.CYCLE_GUARD
+
+    def test_degree_below_two_skips_the_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched a graph with a vertex of degree 1")
+
+        monkeypatch.setattr(graphs, "_cycle_search", no_search)
+        G = Graph(12, [(0, 1)] + [(u, v) for u in range(1, 12) for v in range(u + 1, 12)])
+        assert hamiltonian(G)[1:] == (False, None)
+        assert hamiltonian(generate("star", 5))[1:] == (False, None)
+
+    def test_closure_is_the_graph_when_nothing_joins(self):
+        G = generate("cycle", 10)
+        assert hamiltonian(G)[0] is G
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(3, 40), st.data())
+    def test_closure_and_guard_match_the_round_oracle(self, n, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        shape = data.draw(st.sampled_from(
+            ["random", "sparse", "complete", "complete-bipartite", "pendant"]))
+        edges = closure_shaped_graph(rng, n, shape)
+        expected = oracles.round_closure(n, edges)
+        complete = len(expected) == n * (n - 1) // 2
+        if n > graphs.HAMILTONIAN_GUARD and not complete:
+            with pytest.raises(SizeLimitError):
+                hamiltonian(Graph(n, edges))
+            return
+        closure, flag, cycle = hamiltonian(Graph(n, edges))
+        assert closure.edges == expected
+        if n <= 10:
+            ham = oracles.backtrack_ham_cycle(n, edges)
+            assert (flag, cycle) == (ham is not None, ham)
 
     def test_big_complete_closure_shortcut(self):
         closure, flag, cyc = hamiltonian(generate("complete", 16))
@@ -559,6 +618,20 @@ def shaped_graph(rng, n, shape):
             if (u < cut) == (v < cut)
         ]
     return oracles.random_simple_graph(rng, n)
+
+
+def closure_shaped_graph(rng, n, shape):
+    """A simple graph on n >= 3 vertices for the Hamiltonian closure."""
+    if shape == "sparse":
+        return oracles.random_simple_graph(rng, n, rng.choice([0.05, 0.1, 0.2]))
+    if shape == "complete-bipartite":
+        t = rng.randint(1, n - 1)
+        return [(u, v) for u in range(t) for v in range(t, n)]
+    if shape == "pendant":
+        # a random graph on 1..n-1 with vertex 0 hung from one of them
+        rest = oracles.random_simple_graph(rng, n - 1)
+        return [(0, rng.randint(1, n - 1))] + [(u + 1, v + 1) for u, v in rest]
+    return shaped_graph(rng, n, shape)
 
 
 class TestSpanningTrees:

@@ -91,6 +91,14 @@ class TestAdjacency:
         with pytest.raises(ValueError):
             from_adjacency(M)
 
+    def test_directed_diagonal_refused(self):
+        # the neutro-graph model format has no way to carry a loop
+        M = NeutroMatrix([[1, 1], [0, 0]])
+        with pytest.raises(ValueError, match="^directed adjacency needs a zero diagonal$"):
+            from_adjacency(M, directed=True)
+        with pytest.raises(ValueError, match="^undirected adjacency needs a zero diagonal$"):
+            from_adjacency(NeutroMatrix([[1, 0], [0, 0]]))
+
 
 class TestStrip:
     def test_drops_indet_vertices_and_their_edges(self):
