@@ -16,7 +16,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import engines, graphs, ngraph, relations
 from .core import (
     NotFoundError,
     ParseError,
@@ -25,6 +24,7 @@ from .core import (
     parse_matrix,
     render_matrix,
 )
+# at top level, not per handler: perfbench imports these names from neutromap.cli
 from .formats import export_dot, model_for, parse_model, serialize_model
 
 # ------------------------------------------------------------------- output
@@ -36,8 +36,6 @@ def _fmt(v):
         return "false"
     if v is None:
         return "none"
-    if v is relations.INDETERMINATE:
-        return "indeterminate"
     if isinstance(v, (list, tuple)):
         return " ".join(_fmt(x) for x in v) if len(v) else "none"
     return str(v)
@@ -83,6 +81,8 @@ def _read_text(target):
 
 def _generator(name):
     """The graph a name like `cycle-5` or `complete-bipartite-2-3` names, or None."""
+    from . import graphs
+
     words = name.split("-")
     for cut in range(len(words), 0, -1):
         family = "-".join(words[:cut])
@@ -106,7 +106,9 @@ def _load_model(target, want):
 
 def _load_graph(target, from_csv):
     if from_csv:
-        G = ngraph.from_adjacency(parse_matrix(_read_text(target)))
+        from .ngraph import from_adjacency
+
+        G = from_adjacency(parse_matrix(_read_text(target)))
         if any(t == "I" for _u, _v, t in G.edges):
             raise ValueError("graph adjacency entries must be 0 or 1")
         return G.underlying()
@@ -120,13 +122,15 @@ def _load_graph(target, from_csv):
 
 def _load_relation(target, from_csv):
     if from_csv:
+        from .relations import FuzzyNeutroRelation
+
         M = parse_matrix(_read_text(target))
         rows = [
             [str(M.entry(i, j)) for j in range(M.cols)] for i in range(M.rows)
         ]
         # one x1.. family on both axes, so the middle labels of two CSVs meet
         labels = ["x%d" % (i + 1) for i in range(max(M.rows, M.cols))]
-        return relations.FuzzyNeutroRelation.from_tokens(
+        return FuzzyNeutroRelation.from_tokens(
             rows, labels[:M.rows], labels[:M.cols]
         )
     return _load_model(target, ("relation",))
@@ -134,18 +138,22 @@ def _load_relation(target, from_csv):
 
 def _load_concept_model(target, from_csv):
     if from_csv:
+        from .engines import ConceptModel
+
         M = parse_matrix(_read_text(target))
         names = ["C%d" % (i + 1) for i in range(M.rows)]
-        return engines.ConceptModel(names, M)
+        return ConceptModel(names, M)
     return _load_model(target, ("concept-model",))
 
 
 def _load_relational_model(target, from_csv):
     if from_csv:
+        from .engines import RelationalModel
+
         M = parse_matrix(_read_text(target))
         dom = ["D%d" % (i + 1) for i in range(M.rows)]
         rng = ["R%d" % (j + 1) for j in range(M.cols)]
-        return engines.RelationalModel(dom, rng, M)
+        return RelationalModel(dom, rng, M)
     return _load_model(target, ("relational-model",))
 
 
@@ -172,6 +180,8 @@ _ANALYSES = (
 
 
 def _cmd_graph_analyze(args, fmt):
+    from . import graphs
+
     G = _load_graph(args.target, args.from_csv)
     out = _Out(fmt)
     out.put("graph.vertices", "vertices", G.vertex_count)
@@ -266,6 +276,8 @@ def _cmd_graph_analyze(args, fmt):
 
 
 def _cmd_ngraph_classify(args, fmt):
+    from . import ngraph
+
     G = _load_model(args.target, ("neutro-graph",))
     out = _Out(fmt)
     out.put("classify.kind", "classification", ngraph.classify(G))
@@ -278,6 +290,8 @@ def _cmd_ngraph_classify(args, fmt):
 
 
 def _cmd_ngraph_color(args, fmt):
+    from . import ngraph
+
     G = _load_model(args.target, ("neutro-graph",))
     r = ngraph.neutro_coloring(G)
     out = _Out(fmt)
@@ -306,6 +320,8 @@ def _cmd_ngraph_color(args, fmt):
 
 
 def _cmd_ngraph_petersen(args, fmt):
+    from . import ngraph
+
     G = ngraph.neutro_petersen(args.kind, *args.params)
     out = _Out(fmt)
     out.block("petersen.model", "", serialize_model(model_for(G)))
@@ -313,6 +329,8 @@ def _cmd_ngraph_petersen(args, fmt):
 
 
 def _cmd_rel(args, fmt):
+    from . import relations
+
     rels = [_load_relation(t, args.from_csv) for t in args.inputs]
     out = _Out(fmt)
     if args.action == "compose":
@@ -339,22 +357,26 @@ def _cmd_rel(args, fmt):
 
 def _render_pattern(out, key, lead, kind_label, pattern):
     """Hidden-pattern lines; `lead` prefixes the labels after the first."""
+    from .engines import render_state
+
     out.put(key + ".kind", kind_label, pattern.kind)
     if pattern.kind == "fixed-point":
         out.put(
             key + ".state", lead + "fixed point",
-            engines.render_state(pattern.states[0]),
+            render_state(pattern.states[0]),
         )
     else:
         for i, s in enumerate(pattern.states):
             out.put(
                 "%s.cycle.%d" % (key, i), "%scycle state %d" % (lead, i),
-                engines.render_state(s),
+                render_state(s),
             )
     out.put(key + ".steps", lead + "steps to enter", pattern.steps_to_enter)
 
 
 def _cmd_cm_run(args, fmt):
+    from . import engines
+
     model = _load_concept_model(args.model, args.from_csv)
     if args.degrade:
         model = engines.degrade(model)
@@ -373,6 +395,8 @@ def _cmd_cm_run(args, fmt):
 
 
 def _cmd_rm_run(args, fmt):
+    from . import engines
+
     model = _load_relational_model(args.model, args.from_csv)
     names = model.domain_names if args.side == "domain" else model.range_names
     on = []
@@ -408,6 +432,8 @@ def _cmd_rm_run(args, fmt):
 
 
 def _cmd_link(args, fmt):
+    from . import engines
+
     mats = [_load_weights(t, args.from_csv) for t in args.inputs]
     raw, signed = engines.link(mats)
     chosen = signed if args.signed else raw

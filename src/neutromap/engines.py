@@ -13,7 +13,6 @@ All weights are restricted to {-1, 0, 1, I}; activations live in {0, 1, I}.
 
 from dataclasses import dataclass
 
-from . import graphs
 from .core import (
     I,
     NeutroMatrix,
@@ -404,6 +403,8 @@ def frm_convertible(model):
     is bipartite; returns the bipartition (a candidate domain/range split)
     or an odd-cycle obstruction.
     """
+    from . import graphs
+
     n = model.size
     edges = set()
     loops = False

@@ -4,13 +4,15 @@ One model format covers every payload kind behind a `kind` tag.  Parsing
 and serialization are exact inverses on canonical files: comments and
 blank lines are dropped, separators are normalized to ", ", and every file
 ends in exactly one newline.  `KINDS` is the one table of kinds: each tag
-maps to its payload class, body parser, body writer and DOT writer.
+maps to its payload class, body parser, body writer and DOT writer.  A
+payload class is named, not imported, and each body parser imports its own
+layer, so a command loads only the layer of the kinds it reads.
 """
 
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
-from . import engines, graphs, ngraph, relations
 from .core import ParseError, ZERO, I, matrix_from_lines, meaningful_lines, render_matrix
 
 MODEL_HEADER = "neutromap-model 1"
@@ -22,15 +24,23 @@ class ModelFile:
     payload: object
 
 
-# payload class; parse: numbered body lines -> payload; write: payload ->
-# body lines; dot: payload -> DOT lines without the closing brace
+# payload: "layer.Class"; parse: numbered body lines -> payload; write:
+# payload -> body lines; dot: payload -> DOT lines without the closing brace
 Kind = namedtuple("Kind", "payload parse write dot")
 
 
 def _tag(payload):
-    return next(
-        (t for t, k in KINDS.items() if isinstance(payload, k.payload)), None
-    )
+    """The kind tag of a payload object, or None.
+
+    Only classes of loaded layers are tested: a payload's layer is loaded
+    whenever the payload exists.
+    """
+    for tag, kind in KINDS.items():
+        layer, _, name = kind.payload.partition(".")
+        module = sys.modules.get("%s.%s" % (__package__, layer))
+        if module is not None and isinstance(payload, getattr(module, name)):
+            return tag
+    return None
 
 
 def model_for(payload):
@@ -94,6 +104,8 @@ def _parse_ints(no, line, count, what):
 
 
 def _parse_graph_body(body):
+    from .graphs import Graph
+
     if not body:
         raise ParseError("graph body needs an `n m` line")
     n, m = _parse_ints(body[0][0], body[0][1], 2, "`n m`")
@@ -104,10 +116,12 @@ def _parse_graph_body(body):
     edges = [
         tuple(_parse_ints(no, line, 2, "`u v`")) for no, line in body[1:]
     ]
-    return graphs.Graph(n, edges)
+    return Graph(n, edges)
 
 
 def _parse_neutro_body(body):
+    from .ngraph import NeutroGraph
+
     if not body:
         raise ParseError("neutro-graph body needs an `n_real n_indet m directed` line")
     n_real, n_indet, m, directed = _parse_ints(
@@ -128,10 +142,12 @@ def _parse_neutro_body(body):
             edges.append((int(parts[0]), int(parts[1]), parts[2]))
         except ValueError:
             raise ParseError("line %d: expected `u v R|I`" % (no,)) from None
-    return ngraph.NeutroGraph(n_real, n_indet, edges, directed=bool(directed))
+    return NeutroGraph(n_real, n_indet, edges, directed=bool(directed))
 
 
 def _parse_relation_body(body):
+    from .relations import FuzzyNeutroRelation, FuzzyNeutroValue
+
     if not body:
         raise ParseError("relation body needs a column-label header line")
     cols = [c.strip() for c in body[0][1].split(",")]
@@ -147,13 +163,15 @@ def _parse_relation_body(body):
             )
         row_labels.append(parts[0])
         try:
-            rows.append([relations.FuzzyNeutroValue.parse(t) for t in parts[1:]])
+            rows.append([FuzzyNeutroValue.parse(t) for t in parts[1:]])
         except ParseError as exc:
             raise ParseError("line %d: %s" % (no, exc)) from None
-    return relations.FuzzyNeutroRelation(row_labels, cols, rows)
+    return FuzzyNeutroRelation(row_labels, cols, rows)
 
 
 def _parse_concept_body(body):
+    from .engines import ConceptModel
+
     if not body or not body[0][1].startswith("concepts "):
         raise ParseError("concept-model body needs a `concepts ...` line")
     names = body[0][1].split()[1:]
@@ -172,10 +190,12 @@ def _parse_concept_body(body):
             clamp = frozenset(names.index(c) for c in clamp_names)
         except ValueError:
             raise ParseError("clamp names must be declared concepts") from None
-    return engines.ConceptModel(names, weights, clamp)
+    return ConceptModel(names, weights, clamp)
 
 
 def _parse_relational_body(body):
+    from .engines import RelationalModel
+
     if not body or not body[0][1].startswith("domain "):
         raise ParseError("relational-model body needs a `domain ...` line")
     domain = body[0][1].split()[1:]
@@ -185,7 +205,7 @@ def _parse_relational_body(body):
     if len(body) < 3 or body[2][1] != "matrix":
         raise ParseError("relational-model body needs a `matrix` line")
     weights = matrix_from_lines(body[3:], "missing matrix rows")
-    return engines.RelationalModel(domain, rng, weights)
+    return RelationalModel(domain, rng, weights)
 
 
 # -------------------------------------------------------------- body writers
@@ -304,21 +324,21 @@ def _dot_relation(R):
 
 
 KINDS = {
-    "graph": Kind(graphs.Graph, _parse_graph_body, _write_graph_body, _dot_graph),
+    "graph": Kind("graphs.Graph", _parse_graph_body, _write_graph_body, _dot_graph),
     "neutro-graph": Kind(
-        ngraph.NeutroGraph, _parse_neutro_body, _write_neutro_body,
+        "ngraph.NeutroGraph", _parse_neutro_body, _write_neutro_body,
         _dot_neutro_graph,
     ),
     "relation": Kind(
-        relations.FuzzyNeutroRelation, _parse_relation_body,
+        "relations.FuzzyNeutroRelation", _parse_relation_body,
         _write_relation_body, _dot_relation,
     ),
     "concept-model": Kind(
-        engines.ConceptModel, _parse_concept_body, _write_concept_body,
+        "engines.ConceptModel", _parse_concept_body, _write_concept_body,
         _dot_concept,
     ),
     "relational-model": Kind(
-        engines.RelationalModel, _parse_relational_body,
+        "engines.RelationalModel", _parse_relational_body,
         _write_relational_body, _dot_relational,
     ),
 }

@@ -17,7 +17,8 @@ behind a size guard below.
 """
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, starmap, zip_longest
+from operator import add, sub
 
 from .core import NotFoundError, _check_guard, _echelon
 
@@ -704,16 +705,11 @@ def _greedy_clique(n, adj):
 
 
 def _edge_chromatic(G):
-    edges = list(G.edges)
-    m = len(edges)
+    m = G.m
     if m == 0:
         return 0, []
     delta = max(G.degrees())
-    # adjacency between edge instances (shared endpoint)
-    eadj = [
-        [j for j in range(m) if j != i and set(edges[i]) & set(edges[j])]
-        for i in range(m)
-    ]
+    eadj = line_graph(G).adjacency()
     return _min_coloring(eadj, _propagation_order(m, eadj), delta)
 
 
@@ -753,25 +749,16 @@ class Polynomial:
     def degree(self):
         return len(self.coeffs) - 1
 
+    def _termwise(self, op, other):
+        """op on each pair of coefficients, the shorter side padded with 0."""
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return Polynomial(starmap(op, pairs))
+
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        size = max(len(a), len(b))
-        return Polynomial(
-            [
-                (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                for i in range(size)
-            ]
-        )
+        return self._termwise(add, other)
 
     def __sub__(self, other):
-        a, b = self.coeffs, other.coeffs
-        size = max(len(a), len(b))
-        return Polynomial(
-            [
-                (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-                for i in range(size)
-            ]
-        )
+        return self._termwise(sub, other)
 
     def __mul__(self, other):
         a, b = self.coeffs, other.coeffs

@@ -136,30 +136,24 @@ def from_adjacency(M, indet_vertices=0, directed=False):
                     % (M.entry(i, j), i + 1, j + 1)
                 )
     edges = []
-    if directed:
-        for i in range(M.rows):
-            if M.entry(i, i) != ZERO:
-                raise ValueError("directed adjacency needs a zero diagonal")
-            for j in range(M.cols):
-                x = M.entry(i, j)
-                if x != ZERO:
-                    edges.append((i, j, "I" if x == I else "R"))
-        return NeutroGraph(
-            M.rows - indet_vertices, indet_vertices, edges, directed=True
-        )
     for i in range(M.rows):
         if M.entry(i, i) != ZERO:
-            raise ValueError("undirected adjacency needs a zero diagonal")
-        for j in range(i + 1, M.cols):
-            if M.entry(i, j) != M.entry(j, i):
+            raise ValueError(
+                "%s adjacency needs a zero diagonal"
+                % ("directed" if directed else "undirected")
+            )
+        for j in range(0 if directed else i + 1, M.cols):
+            x = M.entry(i, j)
+            if not directed and x != M.entry(j, i):
                 raise ValueError(
                     "asymmetric adjacency at (%d, %d) with directed=false"
                     % (i + 1, j + 1)
                 )
-            x = M.entry(i, j)
             if x != ZERO:
                 edges.append((i, j, "I" if x == I else "R"))
-    return NeutroGraph(M.rows - indet_vertices, indet_vertices, edges)
+    return NeutroGraph(
+        M.rows - indet_vertices, indet_vertices, edges, directed=bool(directed)
+    )
 
 
 def strip_indeterminates(G):

@@ -1,4 +1,49 @@
-"""Layering: the library loads without the command-line front end."""
+"""Layering: the library loads without the command-line front end, the
+package loads no layer until one of its names is used, and each command
+loads only the layers it calls."""
+
+import ast
+import os
+
+import pytest
+
+import neutromap
+
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+
+EXPORTS = {
+    "I", "NeutroMatrix", "NeutroNumber", "NotFoundError", "ONE", "ParseError",
+    "ShapeError", "SizeLimitError", "SplitPair", "ZERO", "neutro_dimension",
+    "nm_mul", "nm_rank", "nm_transpose", "nn_add", "nn_mul", "parse_matrix",
+    "parse_number", "render_matrix", "split", "unsplit",
+    "ColoringReport", "ConnectivityReport", "DegreeReport", "Graph",
+    "MetricsReport", "Polynomial", "chromatic_polynomial", "coloring",
+    "combine", "complement", "connectivity", "degree_report", "edit",
+    "eulerian", "generate", "hamiltonian", "is_bipartite", "line_graph",
+    "metrics", "spanning_tree_count", "tutte",
+    "NeutroColoringReport", "NeutroDegreeReport", "NeutroGraph",
+    "NeutroTreeReport", "adjacency", "classify", "classify_walk",
+    "from_adjacency", "is_oriented", "neutro_coloring", "neutro_components",
+    "neutro_degree_report", "neutro_eulerian", "neutro_isomorphic",
+    "neutro_petersen", "neutro_tree", "strip_indeterminates",
+    "DomRanHeight", "FI", "FONE", "FZERO", "FuzzyNeutroRelation",
+    "FuzzyNeutroValue", "INDETERMINATE", "PropertyReport",
+    "check_homomorphism", "dom_ran_height", "inverse", "lattice_max",
+    "lattice_min", "maxmin_compose", "properties", "relational_join",
+    "transitive_closure", "tri_all",
+    "ConceptModel", "HiddenPattern", "RelationalModel", "RmResult", "balance",
+    "basis_state", "cm_run", "degrade", "frm_convertible", "link",
+    "parse_state", "render_state", "rm_run", "threshold",
+    "ModelFile", "export_dot", "model_for", "parse_model", "serialize_model",
+}
+
+# prints the neutromap submodules a child has loaded after running its code
+LOADED = (
+    "import sys; {}; "
+    "print(sorted(m for m in sys.modules if m.startswith('neutromap.')), "
+    "file=sys.stderr)"
+)
+RUN_CLI = "from neutromap.cli import main; main(sys.argv[1:])"
 
 
 def test_import_neutromap_leaves_out_cli_and_argparse(python_child):
@@ -14,3 +59,64 @@ def test_module_help_writes_nothing_to_stderr(python_child):
     r = python_child("-m", "neutromap.cli", "--help")
     assert r.returncode == 0 and r.stderr == ""
     assert r.stdout.startswith("usage: neutromap")
+
+
+def test_import_neutromap_loads_no_layer(python_child):
+    r = python_child("-c", LOADED.format("import neutromap"))
+    assert (r.returncode, r.stderr) == (0, "[]\n")
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["graph", "analyze", "complete-5"], {"relations", "engines", "ngraph"}),
+        (
+            ["cm", "run", os.path.join(FIXTURES, "ex-3.7.1-NE.model"), "--on", "C1"],
+            {"relations", "ngraph", "graphs"},
+        ),
+        (
+            ["rel", "props", os.path.join(FIXTURES, "ex-2.8.3.model")],
+            {"graphs", "ngraph", "engines"},
+        ),
+    ],
+    ids=["graph-analyze", "cm-run", "rel-props"],
+)
+def test_command_loads_only_its_layers(python_child, argv, absent):
+    r = python_child("-c", LOADED.format(RUN_CLI), *argv)
+    # a failing command would print an `error:` line before the module list
+    assert r.returncode == 0 and r.stdout and r.stderr.startswith("["), r.stderr
+    loaded = {m.split(".")[1] for m in ast.literal_eval(r.stderr)}
+    assert not loaded & absent, sorted(loaded)
+
+
+def test_all_is_the_export_list():
+    assert len(neutromap.__all__) == len(EXPORTS)
+    assert set(neutromap.__all__) == EXPORTS
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from neutromap import *", namespace)
+    assert EXPORTS <= set(namespace)
+    assert namespace["Graph"] is neutromap.graphs.Graph
+    assert namespace["INDETERMINATE"] is neutromap.relations.INDETERMINATE
+
+
+def test_layer_resolves_after_bare_import(python_child):
+    r = python_child(
+        "-c",
+        "import neutromap; print(neutromap.graphs.Graph.__module__, "
+        "neutromap.formats.__name__)",
+    )
+    assert (r.returncode, r.stdout, r.stderr) == (
+        0, "neutromap.graphs neutromap.formats\n", ""
+    )
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        neutromap.no_such_name
+
+
+def test_dir_lists_all_and_the_exports():
+    assert {"__all__", "__version__"} | EXPORTS <= set(dir(neutromap))
