@@ -132,7 +132,7 @@ class NeutroNumber:
         return hash((self.real, self.indet))
 
     def __bool__(self):
-        return self.real != 0 or self.indet != 0
+        return bool(self.real or self.indet)
 
     def is_real(self):
         return self.indet == 0

@@ -3,15 +3,16 @@
 Concept models (FCM/NCM) iterate a state vector against a square weight
 matrix through a threshold; relational models (FRM/NRM) bounce a vector
 between a domain side and a range side through the matrix and its
-transpose.  Each update thresholds one row product from `core.nm_mul`, so
-this module does no a+bI arithmetic of its own.  Both engines share one
-loop that stops at the first repeated state and report the hidden
-pattern: a fixed point or a limit cycle.
+transpose.  A run splits W once into `core.nm_mul`'s integer vectors; a
+step is integer dot products against them and one sign rule.  Both
+engines share one loop that stops at the first repeated state and report
+the hidden pattern: a fixed point or a limit cycle.
 
 All weights are restricted to {-1, 0, 1, I}; activations live in {0, 1, I}.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
 from .core import (
     I,
@@ -22,7 +23,7 @@ from .core import (
     ZERO,
     _as_nn,
     _check_guard,
-    nm_mul,
+    _split_integer_rows,
 )
 
 MINUS_ONE = -ONE
@@ -149,14 +150,19 @@ class HiddenPattern:
     steps_to_enter: int
 
 
+def _sign_rule(first, second):
+    """The activation of a+bI from its split (a, a+b), or any positive multiple."""
+    if first > 0:
+        return ONE
+    if first == 0 and second > 0:
+        return I
+    return ZERO
+
+
 def threshold(raw):
     """Activation update rule: a > 0 -> 1; a = 0 with b > 0 -> I; else 0."""
     x = _as_nn(raw)
-    if x.real > 0:
-        return ONE
-    if x.real == 0 and x.indet > 0:
-        return I
-    return ZERO
+    return _sign_rule(x.real, x.real + x.indet)
 
 
 def _as_activation(value):
@@ -187,10 +193,17 @@ def _clampfix(state, clamp):
     return tuple(ONE if i in clamp else x for i, x in enumerate(state))
 
 
-def _update(state, M, clamp):
-    """threshold(state * M), then the clamped coordinates forced to 1."""
-    raw = nm_mul(NeutroMatrix([state]), M).row(0)
-    return _clampfix(tuple(threshold(x) for x in raw), clamp)
+def _compile(vectors):
+    """Each weight vector split to integers (a..., a+b...); its scale is > 0."""
+    firsts, seconds, _ = _split_integer_rows(vectors)
+    return tuple(zip(firsts, seconds))
+
+
+def _update(state, vectors, clamp):
+    """threshold(state . v) per compiled v, clamped coordinates forced to 1."""
+    (x1,), (x2,), _ = _split_integer_rows((state,))
+    raw = ((sum(map(mul, x1, y1)), sum(map(mul, x2, y2))) for y1, y2 in vectors)
+    return _clampfix(tuple(_sign_rule(*pair) for pair in raw), clamp)
 
 
 def _run(start, step):
@@ -233,8 +246,9 @@ def cm_run(model, s0, clamp=None):
     if clamp is None and model.default_clamp is not None:
         clamp = model.default_clamp
     clamp = _resolve_clamp(s, clamp, n)
+    columns = _compile(zip(*model.weights))
     first, trajectory = _run(
-        _clampfix(s, clamp), lambda state: _update(state, model.weights, clamp)
+        _clampfix(s, clamp), lambda state: _update(state, columns, clamp)
     )
     return _project_pattern(trajectory[first:-1], first), trajectory
 
@@ -265,14 +279,10 @@ def balance(model):
     """
     n = model.size
     _check_guard("balance", n, "concepts", BALANCE_GUARD)
-    out = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            s = _edge_sign(model.weights.entry(i, j))
-            if s is not None:
-                out[i].append((j, s))
+    out = [
+        [(j, s) for j, w in enumerate(row) if j != i and (s := _edge_sign(w))]
+        for i, row in enumerate(model.weights)
+    ]
 
     witness = None
 
@@ -337,15 +347,15 @@ def rm_run(model, s0, side="domain", clamp=None):
             % (len(s), side, start_len)
         )
     clamp = _resolve_clamp(s, clamp, start_len)
-    # A is the start side, B the other; M maps A to B and MT maps back.
-    W, WT = model.weights, model.weights.transpose()
-    M, MT = (W, WT) if side == "domain" else (WT, W)
+    # The columns of W map the domain to the range; its rows map back.
+    columns, rows = _compile(zip(*model.weights)), _compile(model.weights)
+    there, back = (columns, rows) if side == "domain" else (rows, columns)
 
     def step(pair):
-        B = _update(pair[0], M, ())
-        return _update(B, MT, clamp), B
+        B = _update(pair[0], there, ())
+        return _update(B, back, clamp), B
 
-    first, trajectory = _run((_clampfix(s, clamp), (ZERO,) * M.cols), step)
+    first, trajectory = _run((_clampfix(s, clamp), (ZERO,) * len(there)), step)
     if side == "range":
         trajectory = tuple((X, Y) for Y, X in trajectory)
     cycle = trajectory[first:-1]
@@ -405,16 +415,12 @@ def frm_convertible(model):
     """
     from . import graphs
 
-    n = model.size
-    edges = set()
-    loops = False
-    for i in range(n):
-        for j in range(n):
-            if model.weights.entry(i, j) != ZERO:
-                if i == j:
-                    loops = True
-                    edges.add((i, i))
-                else:
-                    edges.add((i, j) if i < j else (j, i))
-    support = graphs.Graph(n, edges, allow_loops=loops)
+    edges = {
+        (min(i, j), max(i, j))
+        for i, row in enumerate(model.weights)
+        for j, w in enumerate(row)
+        if w
+    }
+    loops = any(i == j for i, j in edges)
+    support = graphs.Graph(model.size, edges, allow_loops=loops)
     return graphs.is_bipartite(support)

@@ -30,6 +30,7 @@ from neutromap.engines import (
     threshold,
 )
 
+import neutromap.engines as engines
 import goldens
 import oracles
 
@@ -313,6 +314,56 @@ class TestAgainstPairOracle:
         assert pattern_pairs(result.range) == rng
 
 
+class TestSplitOnce:
+    """A run splits W once (rm_run: its columns and its rows), however many
+    steps it takes; every other split is of a one-row state."""
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        calls = []
+        split = engines._split_integer_rows
+
+        def recording(rows):
+            rows = tuple(tuple(r) for r in rows)
+            calls.append(rows)
+            return split(rows)
+
+        monkeypatch.setattr(engines, "_split_integer_rows", recording)
+        return calls
+
+    @staticmethod
+    def weight_splits(calls, W):
+        kinds = {tuple(W.transpose()): "columns", tuple(W): "rows"}
+        assert len(kinds) == 2  # W is not symmetric, so the two are told apart
+        assert all(len(rows) == 1 or rows in kinds for rows in calls)
+        return sorted(kinds[rows] for rows in calls if rows in kinds)
+
+    def test_cm_run_splits_w_once(self, splits):
+        model = concept_model(goldens.HACK_NE)
+        pattern, _ = cm_run(model, basis_state(8, [6]))
+        assert pattern.steps_to_enter == 4
+        assert self.weight_splits(splits, model.weights) == ["columns"]
+        steps = set()
+        for start in range(8):
+            splits.clear()
+            _, traj = cm_run(model, basis_state(8, [start]))
+            steps.add(len(traj) - 1)
+            assert self.weight_splits(splits, model.weights) == ["columns"]
+        assert min(steps) == 1 and max(steps) >= 5
+
+    def test_rm_run_splits_rows_and_columns_once(self, splits):
+        model = relational_model(goldens.HACK_NE)
+        steps = set()
+        for side in ("domain", "range"):
+            for start in range(8):
+                splits.clear()
+                result = rm_run(model, basis_state(8, [start]), side)
+                steps.add(len(result.trajectory) - 1)
+                kinds = self.weight_splits(splits, model.weights)
+                assert kinds == ["columns", "rows"]
+        assert min(steps) == 1 and max(steps) >= 4
+
+
 class TestDegrade:
     def test_replaces_indeterminate_weights(self):
         model = concept_model(goldens.CHILD_NE)
@@ -442,3 +493,28 @@ class TestFrmConvertible:
         assert flag
         assert sorted(tuple(left) + tuple(right)) == [0, 1, 2, 3]
         assert {0, 1} <= set(left) or {0, 1} <= set(right)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_against_odd_cycle_oracle(self, data):
+        """Any nonzero weight, I and -1 included, is an edge of the support."""
+        n = data.draw(st.integers(1, 7))
+        only_i = data.draw(st.booleans())  # a support made only of I weights
+        diagonal = data.draw(st.booleans())
+        nonzero = [(0, 1)] if only_i else [(1, 0), (-1, 0), (0, 1)]
+        zeros = data.draw(st.integers(1, 8))  # sparse supports stay bipartite
+        entry = st.sampled_from([(0, 0)] * zeros + nonzero)
+        W = [
+            [data.draw(entry) if diagonal or i != j else (0, 0) for j in range(n)]
+            for i in range(n)
+        ]
+        edges = {(i, j) for i in range(n) for j in range(n) if W[i][j] != (0, 0)}
+        flag, witness = frm_convertible(concept_model(W))
+        if any(i == j for i, j in edges):
+            assert flag is False
+            return
+        assert flag is (not oracles.odd_cycle_exists(n, edges))
+        if flag:
+            left, right = (set(part) for part in witness)
+            assert left | right == set(range(n)) and not left & right
+            assert all((i in left) != (j in left) for i, j in edges)
