@@ -2,22 +2,25 @@
 
 Vertices are indices 0..n-1.  Edges are unordered pairs; parallel edges and
 loops only appear when the corresponding flag is set (contraction creates
-them internally).  Cut vertices and bridges come from one lowpoint
-depth-first search (Hopcroft-Tarjan), spanning-tree counts from Kirchhoff's
-matrix-tree theorem with the fraction-free elimination of `core`, and the
-perfect-matching decision that accompanies the Tutte matrix from Edmonds'
-blossom algorithm, girth from breadth-first searches that stop early
-(Itai-Rodeh).  Chromatic polynomials peel simplicial vertices and branch by
-deletion-contraction over memoised bitmask states.  The Bondy-Chvatal
-closure is degree-gated, and a vertex of degree below 2 answers "not
-Hamiltonian" without a search.  The circumference and Hamiltonian cycles
-share one iterative search over (vertex set, end) states; chromatic number
-and index run desk-scale backtracking.  Every exponential search sits
-behind a size guard below.
+them internally).  Components, cut vertices and bridges come from one
+lowpoint depth-first search (Hopcroft-Tarjan), one component per DFS tree.
+An Euler tour is Hierholzer's, and the edges are connected exactly when it
+covers them all.  The line graph pairs the edges at each vertex.
+Spanning-tree counts come from Kirchhoff's matrix-tree theorem with the
+fraction-free elimination of `core`, the perfect-matching decision that
+accompanies the Tutte matrix from Edmonds' blossom algorithm, and girth
+from breadth-first searches that stop early (Itai-Rodeh).  Chromatic
+polynomials peel simplicial vertices and branch by deletion-contraction
+over memoised bitmask states.  The Bondy-Chvatal closure is degree-gated,
+and a vertex of degree below 2 answers "not Hamiltonian" without a search.
+The circumference and Hamiltonian cycles share one iterative search over
+(vertex set, end) states; chromatic number and index run desk-scale
+backtracking.  Every exponential search sits behind a size guard, and so
+does the edge count of a generated graph.
 """
 
 from dataclasses import dataclass
-from itertools import count, starmap, zip_longest
+from itertools import combinations, starmap, zip_longest
 from operator import add, sub
 
 from .core import NotFoundError, _check_guard, _echelon
@@ -95,30 +98,34 @@ PETERSEN_EDGES = tuple(
 )
 
 # family -> (least value of each parameter, message when one is below it,
-# parameters -> (vertex count, edges))
+# parameters -> (vertex count, edge count, lazy edges))
 FAMILIES = {
     "complete": ((1,), "complete graph needs n >= 1",
-                 lambda n: (n, [(u, v) for u in range(n) for v in range(u + 1, n)])),
+                 lambda n: (n, n * (n - 1) // 2,
+                            ((u, v) for u in range(n) for v in range(u + 1, n)))),
     "complete-bipartite": ((1, 1), "complete-bipartite needs both part sizes >= 1",
-                           lambda t, s: (t + s, [(u, t + v) for u in range(t) for v in range(s)])),
+                           lambda t, s: (t + s, t * s,
+                                         ((u, t + v) for u in range(t) for v in range(s)))),
     "cycle": ((3,), "cycle needs n >= 3",
-              lambda n: (n, [(i, (i + 1) % n) for i in range(n)])),
+              lambda n: (n, n, ((i, (i + 1) % n) for i in range(n)))),
     "path": ((1,), "path needs n >= 1",
-             lambda n: (n, [(i, i + 1) for i in range(n - 1)])),
+             lambda n: (n, n - 1, ((i, i + 1) for i in range(n - 1)))),
     "star": ((1,), "star needs s >= 1 leaves",
-             lambda s: (s + 1, [(0, i) for i in range(1, s + 1)])),
+             lambda s: (s + 1, s, ((0, i) for i in range(1, s + 1)))),
     "wheel": ((3,), "wheel needs rim n >= 3",
-              lambda n: (n + 1, [(0, i) for i in range(1, n + 1)]
-                         + [(i, i % n + 1) for i in range(1, n + 1)])),
-    "petersen": ((), None, lambda: (10, PETERSEN_EDGES)),
+              lambda n: (n + 1, 2 * n,
+                         (e for i in range(1, n + 1) for e in ((0, i), (i, i % n + 1))))),
+    "petersen": ((), None, lambda: (10, 15, PETERSEN_EDGES)),
 }
+GENERATOR_GUARD = 10 ** 6  # edges of a generated graph
 
 
 def generate(kind, *params):
     """Canonical instance of a named family.
 
     kinds: complete n | complete-bipartite t s | cycle n | path n | star s |
-    wheel n | petersen
+    wheel n | petersen.  The edge count is checked against GENERATOR_GUARD
+    before any edge is made.
     """
     if kind not in FAMILIES:
         raise ValueError("unknown graph family %r" % (kind,))
@@ -128,7 +135,9 @@ def generate(kind, *params):
             kind, len(least), "" if len(least) == 1 else "s", len(params)))
     if any(p < m for p, m in zip(params, least)):
         raise ValueError(message)
-    return Graph(*build(*params))
+    vertex_count, m, edges = build(*params)
+    _check_guard("graph generator", m, "edges", GENERATOR_GUARD)
+    return Graph(vertex_count, edges)
 
 
 @dataclass(frozen=True)
@@ -179,20 +188,23 @@ class ConnectivityReport:
 def connectivity(G):
     """Components plus cut vertices and bridges from one lowpoint DFS.
 
-    The parent is skipped by edge index, so a parallel edge is never a bridge.
+    Each DFS tree is one component; roots ascend, so components are listed
+    by their least vertex.  The parent is skipped by edge index, so a
+    parallel edge is never a bridge.
     """
     n = G.vertex_count
-    comps = _components(n, G.adjacency())
     incidence = _incidence(G)
     disc = [None] * n
     low = [0] * n
     hits = [0] * n  # DFS children w of v with low[w] >= disc[v]
-    tick = count()
+    order = []  # vertices by discovery time
+    comps = []
     cut_edges = set()
     for root in range(n):
         if disc[root] is not None:
             continue
-        disc[root] = low[root] = next(tick)
+        first = disc[root] = low[root] = len(order)
+        order.append(root)
         hits[root] = -1  # the first child of a root separates nothing
         # frames: (vertex, index of the edge it was reached by, edge iterator)
         stack = [(root, None, iter(incidence[root]))]
@@ -200,7 +212,8 @@ def connectivity(G):
             v, via, todo = stack[-1]
             for w, idx in todo:
                 if disc[w] is None:
-                    disc[w] = low[w] = next(tick)
+                    disc[w] = low[w] = len(order)
+                    order.append(w)
                     stack.append((w, idx, iter(incidence[w])))
                     break
                 if idx != via:
@@ -214,6 +227,7 @@ def connectivity(G):
                         hits[p] += 1
                     if low[v] > disc[p]:
                         cut_edges.add(G.edges[via])
+        comps.append(tuple(sorted(order[first:])))
 
     cut_vertices = frozenset(v for v in range(n) if hits[v] > 0)
     return ConnectivityReport(
@@ -318,7 +332,12 @@ def _girth(n, adj):
 
 
 def is_bipartite(G):
-    """Two-color by BFS; returns (True, (part0, part1)) or (False, odd cycle)."""
+    """Two-color by BFS; returns (True, (part0, part1)) or (False, odd cycle).
+
+    The ends x, y of a clashing edge lie in the same BFS layer, so their
+    parent chains meet after equally many steps; the cycle runs from x up
+    to the meeting vertex and down to y.
+    """
     n = G.vertex_count
     adj = G.adjacency()
     for u, v in G.edges:
@@ -331,37 +350,21 @@ def is_bipartite(G):
             continue
         color[s] = 0
         queue = [s]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
+        for x in queue:
             for y in adj[x]:
                 if color[y] is None:
                     color[y] = 1 - color[x]
                     parent[y] = x
                     queue.append(y)
                 elif color[y] == color[x]:
-                    chain_x = _to_root(x, parent)
-                    chain_y = _to_root(y, parent)
-                    pos = {v2: i for i, v2 in enumerate(chain_x)}
-                    for j, v2 in enumerate(chain_y):
-                        if v2 in pos:
-                            cix, ciy = pos[v2], j
-                            break
-                    cycle = chain_x[: cix + 1] + list(
-                        reversed(chain_y[:ciy])
-                    )
-                    return False, tuple(cycle)
+                    up, down = [x], [y]
+                    while up[-1] != down[-1]:
+                        up.append(parent[up[-1]])
+                        down.append(parent[down[-1]])
+                    return False, tuple(up + down[-2::-1])
     part0 = tuple(v for v in range(n) if color[v] == 0)
     part1 = tuple(v for v in range(n) if color[v] == 1)
     return True, (part0, part1)
-
-
-def _to_root(v, parent):
-    chain = [v]
-    while parent[chain[-1]] is not None:
-        chain.append(parent[chain[-1]])
-    return chain
 
 
 def combine(kind, G1, G2):
@@ -392,16 +395,8 @@ def combine(kind, G1, G2):
         return Graph(off + G2.vertex_count, edges)
     if kind == "cartesian-product":
         n1, n2 = G1.vertex_count, G2.vertex_count
-        a1, a2 = G1.adjacency(), G2.adjacency()
-        edges = []
-        for u in range(n1):
-            for v in range(n2):
-                for w in a2[v]:
-                    if v < w:
-                        edges.append((u * n2 + v, u * n2 + w))
-                for x in a1[u]:
-                    if u < x:
-                        edges.append((u * n2 + v, x * n2 + v))
+        edges = [(u * n2 + v, u * n2 + w) for u in range(n1) for v, w in G2.edges]
+        edges += [(u * n2 + v, x * n2 + v) for u, x in G1.edges for v in range(n2)]
         return Graph(n1 * n2, edges)
     raise ValueError("unknown combine kind %r" % (kind,))
 
@@ -423,16 +418,17 @@ def complement(G):
 
 
 def line_graph(G):
-    """One vertex per edge of G; adjacency iff the edges share an endpoint."""
+    """One vertex per edge of G; adjacency iff the edges share an endpoint.
+
+    The adjacent pairs are the pairs of edges at each vertex; a parallel
+    pair meets at both ends and is one edge.
+    """
     if any(u == v for u, v in G.edges):
         raise ValueError("line graph needs a loopless graph")
-    edges = list(G.edges)
     out = set()
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            if set(edges[i]) & set(edges[j]):
-                out.add((i, j))
-    return Graph(len(edges), out)
+    for at in _incidence(G):
+        out.update(combinations([idx for _w, idx in at], 2))
+    return Graph(G.m, out)
 
 
 def edit(G, op, arg):
@@ -485,43 +481,34 @@ def _contract(edges, u, v):
 
 
 def eulerian(G):
-    """Eulerian iff one non-isolated component and all degrees even/positive.
+    """Eulerian iff some edge, all degrees even, and the edges connected.
 
     When Eulerian, returns a closed tour as a (from, to) edge sequence built
-    by Hierholzer's algorithm.
+    by Hierholzer's algorithm from the least vertex with an edge.  With all
+    degrees even that tour uses every edge of its component, so the edges
+    are connected exactly when it uses all m of them.
     """
     deg = G.degrees()
     active = [v for v in range(G.vertex_count) if deg[v] > 0]
-    if not active:
-        return False, None
-    if any(deg[v] % 2 for v in active):
-        return False, None
-    adj = G.adjacency()
-    comps = [c for c in _components(G.vertex_count, adj) if len(c) > 1 or deg[c[0]] > 0]
-    if len(comps) != 1:
+    if not active or any(deg[v] % 2 for v in active):
         return False, None
 
-    incidence = _incidence(G)
-    used = [False] * len(G.edges)
+    todo = [iter(at) for at in _incidence(G)]
+    used = [False] * G.m
     stack = [active[0]]
     path = []
-    ptr = [0] * G.vertex_count
     while stack:
-        x = stack[-1]
-        advanced = False
-        while ptr[x] < len(incidence[x]):
-            y, idx = incidence[x][ptr[x]]
-            ptr[x] += 1
+        for y, idx in todo[stack[-1]]:
             if not used[idx]:
                 used[idx] = True
                 stack.append(y)
-                advanced = True
                 break
-        if not advanced:
+        else:
             path.append(stack.pop())
+    if len(path) - 1 < G.m:
+        return False, None
     path.reverse()
-    tour = [(path[i], path[i + 1]) for i in range(len(path) - 1)]
-    return True, tour
+    return True, list(zip(path, path[1:]))
 
 
 # desk-scale limits of the exact searches

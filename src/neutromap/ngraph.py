@@ -3,7 +3,9 @@
 Vertices 0..n_real-1 are real; the remaining indet count get labels N1..Nk.
 Every edge carries a tag: "R" (real) or "I" (indeterminate).  Most analyses
 delegate to the classical machinery on the underlying graph and layer the
-indeterminacy bookkeeping on top; isomorphism is a backtracking search
+indeterminacy bookkeeping on top: components come from one search of the
+underlying graph, and the neutrosophic ones from one pass over the
+indeterminate vertices and I-edges.  Isomorphism is a backtracking search
 pruned by per-vertex kind and tag-degree signatures.
 """
 
@@ -257,19 +259,14 @@ def neutro_components(G):
 
     A graph is neutrosophically disconnected only when at least two of its
     components are themselves neutrosophic; one plain component next to one
-    neutrosophic component does not qualify.
+    neutrosophic component does not qualify.  A component is neutrosophic
+    when it holds an indeterminate vertex or an end of an I-edge.
     """
-    comps = graphs.connectivity(G.underlying()).components
-    neutro = []
-    for comp in comps:
-        members = set(comp)
-        has_nv = any(G.is_indet_vertex(v) for v in members)
-        has_ne = any(
-            t == "I" for u, v, t in G.edges if u in members and v in members
-        )
-        if has_nv or has_ne:
-            neutro.append(comp)
-    return comps, tuple(neutro), len(neutro) >= 2
+    comps = tuple(graphs._components(G.vertex_count, G.underlying().adjacency()))
+    marked = set(range(G.n_real, G.vertex_count))
+    marked.update(u for u, _v, t in G.edges if t == "I")
+    neutro = tuple(comp for comp in comps if not marked.isdisjoint(comp))
+    return comps, neutro, len(neutro) >= 2
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,11 @@
 # states, every vertex permutation vs the library's signature-pruned
 # isomorphism search, unmemoised recursive path backtracking vs the
 # library's iterative (vertex set, end) cycle search, every pair rescanned
-# per round vs the library's degree-gated Bondy-Chvatal closure rounds).
+# per round vs the library's degree-gated Bondy-Chvatal closure rounds,
+# union-find component counts and per-component edge rescans vs the
+# library's lowpoint DFS trees and Euler-tour coverage, whole root chains
+# vs lockstep climbs for odd cycles, all edge pairs vs the pairs at each
+# vertex for line graphs, neighbour sets vs edge lists for products).
 # matrix_tree_count and squaring_closure below share the library's algorithm
 # but none of its code.
 
@@ -752,6 +756,146 @@ def brute_force_neutro_isomorphic(G1, G2):
     return False, None
 
 
+# --- second traversals: the library answers these in one pass ----------
+
+
+def union_find_components(n, edges):
+    """Components as sorted tuples listed by least vertex, by union-find."""
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for u, v in edges:
+        root[find(u)] = find(v)
+    comps = {}
+    for v in range(n):
+        comps.setdefault(find(v), []).append(v)
+    return sorted(tuple(c) for c in comps.values())
+
+
+def root_chain_bipartite(n, edges):
+    """(True, (part0, part1)) or (False, odd cycle) by BFS two-colouring.
+
+    On a clash x-y both root chains are built whole, and the cycle turns at
+    the first vertex of y's chain that x's chain holds.  `edges` are a
+    Graph's sorted pairs: the BFS follows the neighbour sets they build.
+    """
+    for u, v in edges:
+        if u == v:
+            return False, (u,)
+    adj = _adjacency(n, edges)
+    color = [None] * n
+    parent = [None] * n
+    for s in range(n):
+        if color[s] is not None:
+            continue
+        color[s] = 0
+        queue = [s]
+        head = 0
+        while head < len(queue):
+            x = queue[head]
+            head += 1
+            for y in adj[x]:
+                if color[y] is None:
+                    color[y] = 1 - color[x]
+                    parent[y] = x
+                    queue.append(y)
+                elif color[y] == color[x]:
+                    chain_x = _to_root(x, parent)
+                    chain_y = _to_root(y, parent)
+                    pos = {w: i for i, w in enumerate(chain_x)}
+                    j = next(j for j, w in enumerate(chain_y) if w in pos)
+                    cycle = chain_x[: pos[chain_y[j]] + 1] + chain_y[:j][::-1]
+                    return False, tuple(cycle)
+    return True, tuple(tuple(v for v in range(n) if color[v] == c) for c in (0, 1))
+
+
+def _to_root(v, parent):
+    chain = [v]
+    while parent[chain[-1]] is not None:
+        chain.append(parent[chain[-1]])
+    return chain
+
+
+def all_pairs_line_graph(edges):
+    """Sorted pairs i < j of edge indexes whose edges share an end."""
+    return tuple(
+        (i, j)
+        for i in range(len(edges))
+        for j in range(i + 1, len(edges))
+        if set(edges[i]) & set(edges[j])
+    )
+
+
+def component_count_eulerian(n, edges):
+    """(flag, tour): even degrees and one component with edges, counted
+    apart, then Hierholzer's tour from the least vertex with an edge.
+    `edges` are a Graph's sorted pairs, whose order the tour follows."""
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    active = [v for v in range(n) if deg[v]]
+    if not active or any(deg[v] % 2 for v in active):
+        return False, None
+    comps = [c for c in union_find_components(n, edges) if len(c) > 1 or deg[c[0]]]
+    if len(comps) != 1:
+        return False, None
+    incidence = [[] for _ in range(n)]
+    for idx, (u, v) in enumerate(edges):
+        incidence[u].append((v, idx))
+        if u != v:
+            incidence[v].append((u, idx))
+    used = [False] * len(edges)
+    ptr = [0] * n
+    stack = [active[0]]
+    path = []
+    while stack:
+        x = stack[-1]
+        if ptr[x] < len(incidence[x]):
+            y, idx = incidence[x][ptr[x]]
+            ptr[x] += 1
+            if not used[idx]:
+                used[idx] = True
+                stack.append(y)
+        else:
+            path.append(stack.pop())
+    path.reverse()
+    return True, [(path[i], path[i + 1]) for i in range(len(path) - 1)]
+
+
+def adjacency_cartesian_product(n1, edges1, n2, edges2):
+    """(order, sorted edges) of G1 x G2 read off the neighbour sets; vertex
+    (u, v) is u * n2 + v."""
+    a1, a2 = _adjacency(n1, edges1), _adjacency(n2, edges2)
+    edges = []
+    for u in range(n1):
+        for v in range(n2):
+            edges += [(u * n2 + v, u * n2 + w) for w in a2[v] if v < w]
+            edges += [(u * n2 + v, x * n2 + v) for x in a1[u] if u < x]
+    return n1 * n2, tuple(sorted(edges))
+
+
+def rescan_neutro_components(G):
+    """(components, neutrosophic components, disconnected flag) of a neutro
+    graph: every edge is rescanned per component for an I-edge inside it."""
+    comps = tuple(union_find_components(G.vertex_count, [e[:2] for e in G.edges]))
+    neutro = []
+    for comp in comps:
+        members = set(comp)
+        has_nv = any(v >= G.n_real for v in members)
+        has_ne = any(
+            t == "I" for u, v, t in G.edges if u in members and v in members
+        )
+        if has_nv or has_ne:
+            neutro.append(comp)
+    return comps, tuple(neutro), len(neutro) >= 2
+
+
 # --- random structure helpers (seeded by the caller) ---------------------
 
 
@@ -764,6 +908,27 @@ def random_simple_graph(rng, n, p=None):
         for v in range(u + 1, n)
         if rng.random() < p
     ]
+    return edges
+
+
+def random_multigraph(rng, n, loops, closed=False):
+    """Edges of a random multigraph on n vertices with parallel edges.
+
+    The vertices fall into random blocks and each edge stays in its block,
+    so there are often several components and isolated vertices.  Loops
+    appear only when `loops` is set.  With `closed` the edges are closed
+    walks, so every degree is even.
+    """
+    vertices = list(range(n))
+    rng.shuffle(vertices)
+    edges = []
+    while vertices:
+        size = rng.randint(1, (len(vertices) + 1) // 2)
+        block, vertices = vertices[:size], vertices[size:]
+        for _ in range(rng.randint(0, 2 * size)):
+            walk = [rng.choice(block) for _ in range(rng.randint(1, 4) if closed else 2)]
+            pairs = zip(walk, walk[1:] + walk[:1]) if closed else [walk]
+            edges += [(u, v) for u, v in pairs if u != v or loops]
     return edges
 
 

@@ -191,6 +191,19 @@ class TestExitCodes:
         )
         assert code == 4 and "error:" in err
 
+    def test_generator_guard(self, python_child):
+        # the 1,799,970,000 edges of K60000 would not fit under this cap
+        capped = (
+            "import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1500000 << 10,) * 2); "
+            "from neutromap.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        r = python_child(
+            "-c", capped, "graph", "analyze", "complete-60000", "--degree", timeout=20
+        )
+        assert (r.returncode, r.stdout) == (4, "")
+        assert r.stderr == "error: graph generator guard: 1799970000 edges exceeds 1000000\n"
+
     def test_generator_parameter_count(self, capsys):
         for name, message in (
             ("cycle-3-4", "cycle takes 1 parameter, got 2"),

@@ -83,6 +83,19 @@ class TestGenerate:
         with pytest.raises(ValueError, match="^petersen takes 0 parameters, got 1$"):
             generate("petersen", 3)
 
+    def test_edge_guard_counts_the_edges_it_will_make(self, monkeypatch):
+        for kind, params in (
+            ("complete", (7,)), ("complete-bipartite", (3, 4)), ("cycle", (6,)),
+            ("path", (5,)), ("star", (4,)), ("wheel", (5,)), ("petersen", ()),
+        ):
+            monkeypatch.undo()
+            m = generate(kind, *params).m
+            monkeypatch.setattr(graphs, "GENERATOR_GUARD", m)
+            assert generate(kind, *params).m == m
+            monkeypatch.setattr(graphs, "GENERATOR_GUARD", m - 1)
+            with pytest.raises(SizeLimitError, match="generator guard: %d edges exceeds" % m):
+                generate(kind, *params)
+
     def test_petersen_edges_list_the_generated_graph(self):
         assert Graph(10, PETERSEN_EDGES) == generate("petersen")
         assert PETERSEN_EDGES[:5] == tuple((i, 5 + i) for i in range(5))
@@ -273,6 +286,23 @@ class TestBipartite:
         flag, cyc = is_bipartite(Graph(2, [(0, 0), (0, 1)], allow_loops=True))
         assert not flag and tuple(cyc) == (0,)
 
+    def test_odd_cycle_matches_the_root_chain_oracle(self):
+        rng = random.Random(31)
+        lengths = set()
+        for _ in range(400):
+            n = rng.randint(1, 11)
+            edges = oracles.random_multigraph(rng, n, rng.random() < 0.2)
+            if n >= 5 and rng.random() < 0.5:
+                # a long odd cycle, so that the two chains climb far
+                ring = rng.sample(range(n), 5 + 2 * rng.randint(0, (n - 5) // 2))
+                edges = list(zip(ring, ring[1:] + ring[:1])) + edges[: rng.randint(0, 2)]
+            G = Graph(n, edges, allow_multi=True, allow_loops=True)
+            flag, cert = is_bipartite(G)
+            assert (flag, cert) == oracles.root_chain_bipartite(n, G.edges)
+            if not flag:
+                lengths.add(len(cert))
+        assert {1, 3, 5, 7} <= lengths
+
 
 class TestCombineEditLine:
     def test_union_and_sum(self):
@@ -304,6 +334,27 @@ class TestCombineEditLine:
         assert line_graph(K3).edges == K3.edges
         assert line_graph(generate("path", 4)).edges == ((0, 1), (1, 2))
         assert line_graph(generate("star", 3)).edges == generate("complete", 3).edges
+
+    def test_line_graph_matches_all_pairs(self):
+        rng = random.Random(37)
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            G = Graph(n, oracles.random_multigraph(rng, n, False), allow_multi=True)
+            L = line_graph(G)
+            assert L.vertex_count == G.m
+            assert L.edges == oracles.all_pairs_line_graph(G.edges)
+
+    def test_cartesian_product_matches_neighbour_sets(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            G1, G2 = (
+                Graph(n, {(min(e), max(e)) for e in oracles.random_multigraph(rng, n, False)})
+                for n in (rng.randint(1, 6), rng.randint(1, 6))
+            )
+            C = combine("cartesian-product", G1, G2)
+            assert (C.vertex_count, C.edges) == oracles.adjacency_cartesian_product(
+                G1.vertex_count, G1.edges, G2.vertex_count, G2.edges
+            )
 
     def test_edit_delete_vertices_reindexes(self):
         G = edit(generate("complete", 4), "delete-vertices", [0])
@@ -354,6 +405,71 @@ class TestEulerian:
         assert sorted(tuple(sorted(s)) for s in tour) == list(G.edges)
         for a, b in zip(tour, tour[1:]):
             assert a[1] == b[0]
+
+    def test_tour_matches_the_component_count_oracle(self):
+        rng = random.Random(43)
+        seen = set()
+        for _ in range(400):
+            n = rng.randint(1, 9)
+            edges = oracles.random_multigraph(rng, n, rng.random() < 0.5, closed=True)
+            if rng.random() < 0.2:
+                edges.append((rng.randrange(n), rng.randrange(n)))
+            G = Graph(n, edges, allow_multi=True, allow_loops=True)
+            flag, tour = eulerian(G)
+            assert (flag, tour) == oracles.component_count_eulerian(n, G.edges)
+            even = all(d % 2 == 0 for d in G.degrees())
+            seen.add((flag, even and G.m > 0))
+        # tours, odd degrees, and even degrees on several edge components
+        assert seen == {(True, True), (False, False), (False, True)}
+
+
+class TestOnePass:
+    """connectivity and eulerian answer connectivity from their own single
+    traversal, and neutro_components runs no lowpoint DFS."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def record(name):
+            inner = getattr(graphs, name)
+
+            def recording(*args):
+                calls.append(name)
+                return inner(*args)
+
+            monkeypatch.setattr(graphs, name, recording)
+
+        record("_components")
+        record("connectivity")
+        return calls
+
+    GRAPHS = (
+        Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),  # two triangles
+        Graph(5, [(0, 1), (0, 1), (1, 2), (1, 2), (3, 3)], allow_multi=True, allow_loops=True),
+        generate("wheel", 6),
+        generate("cycle", 9),
+        Graph(4),
+    )
+
+    def test_connectivity_finds_components_in_its_dfs(self, calls):
+        for G in self.GRAPHS:
+            calls.clear()
+            graphs.connectivity(G)
+            assert calls == ["connectivity"]
+
+    def test_eulerian_reads_connectivity_off_the_tour(self, calls):
+        for G in self.GRAPHS:
+            calls.clear()
+            graphs.eulerian(G)
+            assert calls == []
+
+    def test_neutro_components_runs_one_component_search(self, calls):
+        from neutromap.ngraph import NeutroGraph, neutro_components
+
+        G = NeutroGraph(4, 2, [(0, 4, "I"), (1, 5, "R"), (2, 3, "R")])
+        assert neutro_components(G)[2] is True
+        assert calls == ["_components"]
 
 
 class TestHamiltonian:

@@ -189,6 +189,20 @@ class TestComponents:
         comps, neutro, flag = neutro_components(G)
         assert len(comps) == 2 and len(neutro) == 1 and flag is False
 
+    def test_matches_the_rescan_oracle(self):
+        rng = random.Random(47)
+        flags = set()
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            n_indet = rng.randint(0, n)
+            directed = rng.random() < 0.3
+            edges = [(u, v, rng.choice("RI")) for u, v in oracles.random_multigraph(rng, n, True)]
+            G = NeutroGraph(n - n_indet, n_indet, edges, directed, True, True)
+            result = neutro_components(G)
+            assert result == oracles.rescan_neutro_components(G)
+            flags.add((len(result[0]) > 1, result[2]))
+        assert flags == {(False, False), (True, False), (True, True)}
+
 
 class TestTree:
     def test_path_through_indet_vertices(self):
