@@ -80,7 +80,7 @@ def _read_text(target):
 
 
 def _generator(name):
-    """The graph a name like `cycle-5` or `complete-bipartite-2-3` names, or None."""
+    """The graph a name like `cycle-5` or `complete-bipartite-2-3` names."""
     from . import graphs
 
     words = name.split("-")
@@ -90,78 +90,62 @@ def _generator(name):
             try:
                 params = [int(w) for w in words[cut:]]
             except ValueError:
-                return None
+                break
             return graphs.generate(family, *params)
-    return None
+    raise NotFoundError("no such file or generator: %s" % (name,))
 
 
-def _load_model(target, want):
+def _graph_from_csv(M):
+    from .ngraph import from_adjacency
+
+    G = from_adjacency(M)
+    if any(t == "I" for _u, _v, t in G.edges):
+        raise ValueError("graph adjacency entries must be 0 or 1")
+    return G.underlying()
+
+
+def _relation_from_csv(M):
+    from .relations import FuzzyNeutroRelation
+
+    rows = [[str(M.entry(i, j)) for j in range(M.cols)] for i in range(M.rows)]
+    # one x1.. family on both axes, so the middle labels of two CSVs meet
+    labels = ["x%d" % (i + 1) for i in range(max(M.rows, M.cols))]
+    return FuzzyNeutroRelation.from_tokens(rows, labels[:M.rows], labels[:M.cols])
+
+
+def _concept_model_from_csv(M):
+    from .engines import ConceptModel
+
+    return ConceptModel(["C%d" % (i + 1) for i in range(M.rows)], M)
+
+
+def _relational_model_from_csv(M):
+    from .engines import RelationalModel
+
+    dom = ["D%d" % (i + 1) for i in range(M.rows)]
+    return RelationalModel(dom, ["R%d" % (j + 1) for j in range(M.cols)], M)
+
+
+# what a bare CSV matrix is read as, by the model kind a command wants
+_FROM_CSV = {
+    "graph": _graph_from_csv,
+    "relation": _relation_from_csv,
+    "concept-model": _concept_model_from_csv,
+    "relational-model": _relational_model_from_csv,
+}
+
+
+def _load(target, from_csv, *kinds):
+    """The payload of a model file of one of `kinds`, or with `from_csv` a
+    CSV matrix read as the first kind."""
+    if from_csv:
+        return _FROM_CSV[kinds[0]](parse_matrix(_read_text(target)))
     mf = parse_model(_read_text(target))
-    if mf.kind not in want:
+    if mf.kind not in kinds:
         raise ValueError(
-            "%s is a %s model; expected %s" % (target, mf.kind, " or ".join(want))
+            "%s is a %s model; expected %s" % (target, mf.kind, " or ".join(kinds))
         )
     return mf.payload
-
-
-def _load_graph(target, from_csv):
-    if from_csv:
-        from .ngraph import from_adjacency
-
-        G = from_adjacency(parse_matrix(_read_text(target)))
-        if any(t == "I" for _u, _v, t in G.edges):
-            raise ValueError("graph adjacency entries must be 0 or 1")
-        return G.underlying()
-    if target != "-" and not os.path.exists(target):
-        G = _generator(target)
-        if G is None:
-            raise NotFoundError("no such file or generator: %s" % (target,))
-        return G
-    return _load_model(target, ("graph",))
-
-
-def _load_relation(target, from_csv):
-    if from_csv:
-        from .relations import FuzzyNeutroRelation
-
-        M = parse_matrix(_read_text(target))
-        rows = [
-            [str(M.entry(i, j)) for j in range(M.cols)] for i in range(M.rows)
-        ]
-        # one x1.. family on both axes, so the middle labels of two CSVs meet
-        labels = ["x%d" % (i + 1) for i in range(max(M.rows, M.cols))]
-        return FuzzyNeutroRelation.from_tokens(
-            rows, labels[:M.rows], labels[:M.cols]
-        )
-    return _load_model(target, ("relation",))
-
-
-def _load_concept_model(target, from_csv):
-    if from_csv:
-        from .engines import ConceptModel
-
-        M = parse_matrix(_read_text(target))
-        names = ["C%d" % (i + 1) for i in range(M.rows)]
-        return ConceptModel(names, M)
-    return _load_model(target, ("concept-model",))
-
-
-def _load_relational_model(target, from_csv):
-    if from_csv:
-        from .engines import RelationalModel
-
-        M = parse_matrix(_read_text(target))
-        dom = ["D%d" % (i + 1) for i in range(M.rows)]
-        rng = ["R%d" % (j + 1) for j in range(M.cols)]
-        return RelationalModel(dom, rng, M)
-    return _load_model(target, ("relational-model",))
-
-
-def _load_weights(target, from_csv):
-    if from_csv:
-        return parse_matrix(_read_text(target))
-    payload = _load_model(target, ("relational-model", "concept-model"))
-    return payload.weights
 
 
 def _split_names(arg):
@@ -179,11 +163,13 @@ _ANALYSES = (
 )
 
 
-def _cmd_graph_analyze(args, fmt):
+def _cmd_graph_analyze(args, out):
     from . import graphs
 
-    G = _load_graph(args.target, args.from_csv)
-    out = _Out(fmt)
+    if args.from_csv or args.target == "-" or os.path.exists(args.target):
+        G = _load(args.target, args.from_csv, "graph")
+    else:
+        G = _generator(args.target)
     out.put("graph.vertices", "vertices", G.vertex_count)
     out.put("graph.edges", "edges", G.m)
     if not any(getattr(args, a.replace("-", "_")) for a in _ANALYSES):
@@ -272,29 +258,25 @@ def _cmd_graph_analyze(args, fmt):
         )
         out.put("hamiltonian.flag", "hamiltonian", flag)
         out.put("hamiltonian.cycle", "hamiltonian cycle", cycle)
-    return out.text()
 
 
-def _cmd_ngraph_classify(args, fmt):
+def _cmd_ngraph_classify(args, out):
     from . import ngraph
 
-    G = _load_model(args.target, ("neutro-graph",))
-    out = _Out(fmt)
+    G = _load(args.target, False, "neutro-graph")
     out.put("classify.kind", "classification", ngraph.classify(G))
     out.put("classify.real-vertices", "real vertices", G.n_real)
     out.put("classify.indet-vertices", "indeterminate vertices", G.n_indet)
     real_edges = sum(1 for _u, _v, t in G.edges if t == "R")
     out.put("classify.real-edges", "real edges", real_edges)
     out.put("classify.indet-edges", "indeterminate edges", G.m - real_edges)
-    return out.text()
 
 
-def _cmd_ngraph_color(args, fmt):
+def _cmd_ngraph_color(args, out):
     from . import ngraph
 
-    G = _load_model(args.target, ("neutro-graph",))
+    G = _load(args.target, False, "neutro-graph")
     r = ngraph.neutro_coloring(G)
-    out = _Out(fmt)
     out.put(
         "coloring.chromatic-number", "neutrosophic chromatic number",
         r.chromatic_number,
@@ -316,23 +298,19 @@ def _cmd_ngraph_color(args, fmt):
             for (u, v, _t), c in zip(G.edges, r.edge_colors)
         ),
     )
-    return out.text()
 
 
-def _cmd_ngraph_petersen(args, fmt):
+def _cmd_ngraph_petersen(args, out):
     from . import ngraph
 
     G = ngraph.neutro_petersen(args.kind, *args.params)
-    out = _Out(fmt)
     out.block("petersen.model", "", serialize_model(model_for(G)))
-    return out.text()
 
 
-def _cmd_rel(args, fmt):
+def _cmd_rel(args, out):
     from . import relations
 
-    rels = [_load_relation(t, args.from_csv) for t in args.inputs]
-    out = _Out(fmt)
+    rels = [_load(t, args.from_csv, "relation") for t in args.inputs]
     if args.action == "compose":
         C = relations.maxmin_compose(*rels)
         out.block("compose.model", "", serialize_model(model_for(C)))
@@ -352,7 +330,6 @@ def _cmd_rel(args, fmt):
         table = relations.relational_join(*rels)
         for (x, y, z), v in table.items():
             out.put("join.%s.%s.%s" % (x, y, z), "%s %s %s" % (x, y, z), v)
-    return out.text()
 
 
 def _render_pattern(out, key, lead, kind_label, pattern):
@@ -374,10 +351,10 @@ def _render_pattern(out, key, lead, kind_label, pattern):
     out.put(key + ".steps", lead + "steps to enter", pattern.steps_to_enter)
 
 
-def _cmd_cm_run(args, fmt):
+def _cmd_cm_run(args, out):
     from . import engines
 
-    model = _load_concept_model(args.model, args.from_csv)
+    model = _load(args.model, args.from_csv, "concept-model")
     if args.degrade:
         model = engines.degrade(model)
     on = [model.index(n) for n in _split_names(args.on)]
@@ -386,18 +363,16 @@ def _cmd_cm_run(args, fmt):
         clamp = frozenset(model.index(n) for n in _split_names(args.clamp))
     s0 = engines.basis_state(model.size, on)
     pattern, trajectory = engines.cm_run(model, s0, clamp)
-    out = _Out(fmt)
     out.put("concepts", "concepts", model.concept_names)
     for i, s in enumerate(trajectory):
         out.put("state.%d" % i, "state %d" % i, engines.render_state(s))
     _render_pattern(out, "pattern", "", "hidden pattern", pattern)
-    return out.text()
 
 
-def _cmd_rm_run(args, fmt):
+def _cmd_rm_run(args, out):
     from . import engines
 
-    model = _load_relational_model(args.model, args.from_csv)
+    model = _load(args.model, args.from_csv, "relational-model")
     names = model.domain_names if args.side == "domain" else model.range_names
     on = []
     for name in _split_names(args.on):
@@ -418,7 +393,6 @@ def _cmd_rm_run(args, fmt):
             clamp.add(idx)
     s0 = engines.basis_state(len(names), on)
     result = engines.rm_run(model, s0, args.side, clamp)
-    out = _Out(fmt)
     out.put("domain", "domain", model.domain_names)
     out.put("range", "range", model.range_names)
     for i, (X, Y) in enumerate(result.trajectory):
@@ -428,16 +402,20 @@ def _cmd_rm_run(args, fmt):
         )
     _render_pattern(out, "domain-pattern", "domain ", "domain pattern", result.domain)
     _render_pattern(out, "range-pattern", "range ", "range pattern", result.range)
-    return out.text()
 
 
-def _cmd_link(args, fmt):
+def _cmd_link(args, out):
     from . import engines
 
-    mats = [_load_weights(t, args.from_csv) for t in args.inputs]
+    if args.from_csv:
+        mats = [parse_matrix(_read_text(t)) for t in args.inputs]
+    else:
+        mats = [
+            _load(t, False, "relational-model", "concept-model").weights
+            for t in args.inputs
+        ]
     raw, signed = engines.link(mats)
     chosen = signed if args.signed else raw
-    out = _Out(fmt)
     out.put("link.shape", "shape", "%dx%d" % (chosen.rows, chosen.cols))
     out.block("link.matrix", "matrix", render_matrix(chosen))
     if args.diff is not None:
@@ -463,14 +441,11 @@ def _cmd_link(args, fmt):
             "diff.agreements", "agreements",
             "%d/%d" % (agree, signed.rows * signed.cols),
         )
-    return out.text()
 
 
-def _cmd_export_dot(args, fmt):
+def _cmd_export_dot(args, out):
     mf = parse_model(_read_text(args.target))
-    out = _Out(fmt)
     out.block("dot", "", export_dot(mf.payload))
-    return out.text()
 
 
 # -------------------------------------------------------------------- main
@@ -567,9 +542,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    fmt = args.format or args.format_root or "plain"
+    out = _Out(args.format or args.format_root or "plain")
     try:
-        text = args.func(args, fmt)
+        args.func(args, out)
     except ParseError as exc:
         return _fail(2, exc)
     except ShapeError as exc:
@@ -580,7 +555,7 @@ def main(argv=None):
         return _fail(5, exc)
     except ValueError as exc:
         return _fail(1, exc)
-    sys.stdout.write(text)
+    sys.stdout.write(out.text())
     return 0
 
 

@@ -76,6 +76,21 @@ def _coerce_fraction(x):
     raise TypeError("expected a rational, got %r" % (x,))
 
 
+class _Value:
+    """Equality and hash by `_key()`, the identity fields a subclass returns;
+    against an instance of another class `__eq__` answers NotImplemented."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 class NeutroNumber:
     """An exact neutrosophic scalar a + bI.
 
@@ -224,7 +239,7 @@ def unsplit(p):
     return NeutroNumber(p.first, p.second - p.first)
 
 
-class NeutroMatrix:
+class NeutroMatrix(_Value):
     """Dense rectangular matrix of NeutroNumbers (at least 1x1)."""
 
     __slots__ = ("rows", "cols", "_rows")
@@ -262,13 +277,8 @@ class NeutroMatrix:
     def to_rows(self):
         return [list(r) for r in self._rows]
 
-    def __eq__(self, other):
-        if not isinstance(other, NeutroMatrix):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __hash__(self):
-        return hash(self._rows)
+    def _key(self):
+        return self._rows
 
     def __mul__(self, other):
         return nm_mul(self, other)

@@ -21,6 +21,7 @@ from .core import (
     ONE,
     ShapeError,
     ZERO,
+    _Value,
     _as_nn,
     _check_guard,
     _split_integer_rows,
@@ -64,7 +65,7 @@ def _check_weights(M, rows, cols, what):
     return M
 
 
-class ConceptModel:
+class ConceptModel(_Value):
     """A fuzzy/neutrosophic cognitive map: concepts plus square weights."""
 
     __slots__ = ("concept_names", "weights", "default_clamp")
@@ -87,23 +88,14 @@ class ConceptModel:
         except ValueError:
             raise NotFoundError("unknown concept %r" % (name,)) from None
 
-    def __eq__(self, other):
-        if not isinstance(other, ConceptModel):
-            return NotImplemented
-        return (
-            self.concept_names == other.concept_names
-            and self.weights == other.weights
-            and self.default_clamp == other.default_clamp
-        )
-
-    def __hash__(self):
-        return hash((self.concept_names, self.weights, self.default_clamp))
+    def _key(self):
+        return self.concept_names, self.weights, self.default_clamp
 
     def __repr__(self):
         return "ConceptModel(%d concepts)" % (self.size,)
 
 
-class RelationalModel:
+class RelationalModel(_Value):
     """A relational map: disjoint domain/range name sets, m x n weights."""
 
     __slots__ = ("domain_names", "range_names", "weights")
@@ -125,17 +117,8 @@ class RelationalModel:
             return "range", self.range_names.index(name)
         raise NotFoundError("unknown node %r" % (name,))
 
-    def __eq__(self, other):
-        if not isinstance(other, RelationalModel):
-            return NotImplemented
-        return (
-            self.domain_names == other.domain_names
-            and self.range_names == other.range_names
-            and self.weights == other.weights
-        )
-
-    def __hash__(self):
-        return hash((self.domain_names, self.range_names, self.weights))
+    def _key(self):
+        return self.domain_names, self.range_names, self.weights
 
     def __repr__(self):
         return "RelationalModel(%d x %d)" % (

@@ -16,17 +16,17 @@ and a vertex of degree below 2 answers "not Hamiltonian" without a search.
 The circumference and Hamiltonian cycles share one iterative search over
 (vertex set, end) states; chromatic number and index run desk-scale
 backtracking.  Every exponential search sits behind a size guard, and so
-does the edge count of a generated graph.
+do the edge count of a generated graph and the n x n distance table.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, starmap, zip_longest
 from operator import add, sub
 
-from .core import NotFoundError, _check_guard, _echelon
+from .core import NotFoundError, _Value, _check_guard, _echelon
 
 
-class Graph:
+class Graph(_Value):
     __slots__ = ("vertex_count", "edges", "allow_multi", "allow_loops")
 
     def __init__(self, vertex_count, edges=(), allow_multi=False, allow_loops=False):
@@ -75,16 +75,8 @@ class Graph:
         e = (u, v) if u <= v else (v, u)
         return e in self.edges
 
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return (
-            self.vertex_count == other.vertex_count
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.vertex_count, self.edges))
+    def _key(self):
+        return self.vertex_count, self.edges
 
     def __repr__(self):
         return "Graph(%d, m=%d)" % (self.vertex_count, self.m)
@@ -118,6 +110,7 @@ FAMILIES = {
     "petersen": ((), None, lambda: (10, 15, PETERSEN_EDGES)),
 }
 GENERATOR_GUARD = 10 ** 6  # edges of a generated graph
+DISTANCE_GUARD = 4 * 10 ** 6  # entries of the n x n distance table of metrics
 
 
 def generate(kind, *params):
@@ -270,6 +263,7 @@ class MetricsReport:
 
 def metrics(G):
     n = G.vertex_count
+    _check_guard("distance table", n * n, "entries", DISTANCE_GUARD)
     adj = G.adjacency()
     dists = tuple(tuple(_bfs_dist(n, adj, s)) for s in range(n))
 
@@ -717,7 +711,7 @@ def _propagation_order(m, eadj):
     return order
 
 
-class Polynomial:
+class Polynomial(_Value):
     """Integer polynomial, coefficients ascending from the constant term."""
 
     __slots__ = ("coeffs",)
@@ -756,13 +750,8 @@ class Polynomial:
                     out[i + j] += x * y
         return Polynomial(out)
 
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+    def _key(self):
+        return self.coeffs
 
     def __call__(self, x):
         acc = 0

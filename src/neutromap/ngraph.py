@@ -13,14 +13,14 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import graphs
-from .core import I, NeutroMatrix, ShapeError, ZERO, ONE, _check_guard
+from .core import I, NeutroMatrix, ShapeError, ZERO, ONE, _Value, _check_guard
 
 
 _TAGS = ("R", "I")
 ISOMORPHISM_GUARD = 10  # vertices for the neutro_isomorphic backtracking
 
 
-class NeutroGraph:
+class NeutroGraph(_Value):
     __slots__ = ("n_real", "n_indet", "edges", "directed", "allow_multi", "allow_loops")
 
     def __init__(self, n_real, n_indet, edges=(), directed=False,
@@ -80,18 +80,8 @@ class NeutroGraph:
             self.allow_loops,
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, NeutroGraph):
-            return NotImplemented
-        return (
-            self.n_real == other.n_real
-            and self.n_indet == other.n_indet
-            and self.edges == other.edges
-            and self.directed == other.directed
-        )
-
-    def __hash__(self):
-        return hash((self.n_real, self.n_indet, self.edges, self.directed))
+    def _key(self):
+        return self.n_real, self.n_indet, self.edges, self.directed
 
     def __repr__(self):
         return "NeutroGraph(%d+%d, m=%d%s)" % (

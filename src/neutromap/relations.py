@@ -22,6 +22,7 @@ from .core import (
     NotFoundError,
     ParseError,
     ShapeError,
+    _Value,
     _render_fraction,
     parse_number,
 )
@@ -64,7 +65,7 @@ def _tri_not(v):
     return not v
 
 
-class FuzzyNeutroValue:
+class FuzzyNeutroValue(_Value):
     """A membership grade: magnitude in [0,1], optionally indeterminate.
 
     The value is magnitude when the flag is off and magnitude*I when on;
@@ -98,16 +99,8 @@ class FuzzyNeutroValue:
         except ValueError as exc:
             raise ParseError(str(exc)) from None
 
-    def __eq__(self, other):
-        if not isinstance(other, FuzzyNeutroValue):
-            return NotImplemented
-        return (
-            self.magnitude == other.magnitude
-            and self.indeterminate == other.indeterminate
-        )
-
-    def __hash__(self):
-        return hash((self.magnitude, self.indeterminate))
+    def _key(self):
+        return self.magnitude, self.indeterminate
 
     def __str__(self):
         if not self.indeterminate:
@@ -138,7 +131,7 @@ def lattice_max(x, y):
     return FuzzyNeutroValue(x.magnitude, x.indeterminate and y.indeterminate)
 
 
-class FuzzyNeutroRelation:
+class FuzzyNeutroRelation(_Value):
     __slots__ = ("row_labels", "col_labels", "values")
 
     def __init__(self, row_labels, col_labels, values):
@@ -204,17 +197,8 @@ class FuzzyNeutroRelation:
     def is_square(self):
         return self.row_labels == self.col_labels
 
-    def __eq__(self, other):
-        if not isinstance(other, FuzzyNeutroRelation):
-            return NotImplemented
-        return (
-            self.row_labels == other.row_labels
-            and self.col_labels == other.col_labels
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash((self.row_labels, self.col_labels, self.values))
+    def _key(self):
+        return self.row_labels, self.col_labels, self.values
 
     def __repr__(self):
         return "FuzzyNeutroRelation(%d x %d)" % self.shape

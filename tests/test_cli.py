@@ -18,6 +18,13 @@ from neutromap.relations import FuzzyNeutroRelation, FuzzyNeutroValue
 import goldens
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+# a CLI child under a 1.5 GB address-space cap, so a table that would not fit
+# ends in a MemoryError instead of swapping
+CAPPED_CLI = (
+    "import resource, sys; "
+    "resource.setrlimit(resource.RLIMIT_AS, (1500000 << 10,) * 2); "
+    "from neutromap.cli import main; sys.exit(main(sys.argv[1:]))"
+)
 
 
 def fx(name):
@@ -193,16 +200,23 @@ class TestExitCodes:
 
     def test_generator_guard(self, python_child):
         # the 1,799,970,000 edges of K60000 would not fit under this cap
-        capped = (
-            "import resource, sys; "
-            "resource.setrlimit(resource.RLIMIT_AS, (1500000 << 10,) * 2); "
-            "from neutromap.cli import main; sys.exit(main(sys.argv[1:]))"
-        )
         r = python_child(
-            "-c", capped, "graph", "analyze", "complete-60000", "--degree", timeout=20
+            "-c", CAPPED_CLI, "graph", "analyze", "complete-60000", "--degree",
+            timeout=20,
         )
         assert (r.returncode, r.stdout) == (4, "")
         assert r.stderr == "error: graph generator guard: 1799970000 edges exceeds 1000000\n"
+
+    def test_distance_table_guard(self, python_child):
+        # path-100000 is generated, but its 10^10-entry distance table is not
+        r = python_child(
+            "-c", CAPPED_CLI, "graph", "analyze", "path-100000", "--metrics",
+            timeout=20,
+        )
+        assert (r.returncode, r.stdout) == (4, "")
+        assert r.stderr == (
+            "error: distance table guard: 10000000000 entries exceeds 4000000\n"
+        )
 
     def test_generator_parameter_count(self, capsys):
         for name, message in (
@@ -515,6 +529,13 @@ class TestRmRun:
             "--side", "domain", "--on", "R1",
         )
         assert code == 1 and "range side" in err
+
+    def test_clamp_node_on_the_other_side(self, capsys):
+        for side, on, clamp in (("domain", "D1", "R1"), ("range", "R1", "D2")):
+            assert run(
+                capsys, "rm", "run", fx("fig-2.8.11-E1.model"),
+                "--side", side, "--on", on, "--clamp", clamp,
+            ) == (1, "", "error: clamp node %s is not on the %s side\n" % (clamp, side))
 
 
 class TestLink:

@@ -169,6 +169,13 @@ def _cases():
     add("error-1/wrong-kind", "cm", "run", "@fx/fig-2.2.3.model", "--on", "C1")
     add("error-1/wrong-side", "rm", "run", "@fx/fig-2.8.11-E1.model",
         "--side", "domain", "--on", "R1")
+    for side, on, clamp, bad in (("domain", "D1", "D2", "R1"),
+                                 ("range", "R1", "R3", "D2")):
+        add("rm-clamp/" + side, "rm", "run", "@fx/fig-2.8.11-E1.model",
+            "--side", side, "--on", on, "--clamp", clamp)
+        add("error-1/clamp-side/" + side, "rm", "run",
+            "@fx/fig-2.8.11-E1.model", "--side", side, "--on", on,
+            "--clamp", bad)
     add("error-2/bad-header", "graph", "analyze", "@model/bad-header")
     add("error-2/ragged-csv", "cm", "run", "@csv/ragged", "--from-csv",
         "--on", "C1")

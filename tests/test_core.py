@@ -28,6 +28,10 @@ from neutromap.core import (
     split,
     unsplit,
 )
+from neutromap.engines import ConceptModel, RelationalModel
+from neutromap.graphs import Graph, Polynomial
+from neutromap.ngraph import NeutroGraph
+from neutromap.relations import FuzzyNeutroRelation, FuzzyNeutroValue
 
 import goldens
 import oracles
@@ -243,3 +247,77 @@ class TestExceptions:
         assert issubclass(ShapeError, ValueError)
         assert issubclass(SizeLimitError, ValueError)
         assert issubclass(NotFoundError, LookupError)
+
+
+# class name -> (a builder of one value, a builder of an unequal value of the
+# same class, the fields whose tuple the hash is taken of; one field is
+# hashed bare)
+VALUES = {
+    "NeutroMatrix": (
+        lambda: NeutroMatrix([[1, I], [Fraction(1, 2), -I]]),
+        lambda: NeutroMatrix([[1, I]]),
+        ("_rows",),
+    ),
+    "Graph": (
+        lambda: Graph(3, [(1, 2), (0, 1)]),
+        lambda: Graph(3, [(0, 1)]),
+        ("vertex_count", "edges"),
+    ),
+    "Polynomial": (
+        lambda: Polynomial([0, -1, 1, 0]),
+        lambda: Polynomial([0, 1]),
+        ("coeffs",),
+    ),
+    "NeutroGraph": (
+        lambda: NeutroGraph(2, 1, [(0, 1, "R"), (1, 2, "I")]),
+        lambda: NeutroGraph(2, 1, [(0, 1, "R"), (1, 2, "I")], directed=True),
+        ("n_real", "n_indet", "edges", "directed"),
+    ),
+    "FuzzyNeutroValue": (
+        lambda: FuzzyNeutroValue(Fraction(1, 2), True),
+        lambda: FuzzyNeutroValue(Fraction(1, 2)),
+        ("magnitude", "indeterminate"),
+    ),
+    "FuzzyNeutroRelation": (
+        lambda: FuzzyNeutroRelation.from_tokens([["0.5", "I"]], ["a"], ["x", "y"]),
+        lambda: FuzzyNeutroRelation.from_tokens([["0.5", "I"]], ["b"], ["x", "y"]),
+        ("row_labels", "col_labels", "values"),
+    ),
+    "ConceptModel": (
+        lambda: ConceptModel(["A", "B"], [[0, 1], [I, 0]], default_clamp=[0]),
+        lambda: ConceptModel(["A", "B"], [[0, 1], [I, 0]]),
+        ("concept_names", "weights", "default_clamp"),
+    ),
+    "RelationalModel": (
+        lambda: RelationalModel(["D"], ["R1", "R2"], [[1, -1]]),
+        lambda: RelationalModel(["D"], ["R1", "R2"], [[1, I]]),
+        ("domain_names", "range_names", "weights"),
+    ),
+}
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize("name", sorted(VALUES))
+    def test_equal_by_identity_fields(self, name):
+        make, make_other, fields = VALUES[name]
+        x, y = make(), make()
+        assert x is not y and x == y and not x != y
+        assert x != make_other() and not x == make_other()
+        key = tuple(getattr(x, f) for f in fields)
+        assert hash(x) == hash(y) == hash(key if len(key) > 1 else key[0])
+        assert x.__eq__(object()) is NotImplemented
+        for stranger in sorted(set(VALUES) - {name}):
+            z = VALUES[stranger][0]()
+            assert x != z and x.__eq__(z) is NotImplemented
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda **flags: Graph(2, [(0, 1)], **flags),
+            lambda **flags: NeutroGraph(1, 1, [(0, 1, "I")], **flags),
+        ],
+        ids=["Graph", "NeutroGraph"],
+    )
+    def test_graphs_ignore_the_multigraph_flags(self, make):
+        plain, flagged = make(), make(allow_multi=True, allow_loops=True)
+        assert plain == flagged and hash(plain) == hash(flagged)

@@ -202,6 +202,16 @@ class TestMetrics:
     def test_disconnected_diameter_is_none(self):
         assert metrics(Graph(4, [(0, 1)])).diameter is None
 
+    def test_distance_table_guard_edge(self):
+        # 2000^2 entries is exactly the guard; one more vertex trips it
+        assert graphs.DISTANCE_GUARD == 2000 ** 2
+        assert metrics(Graph(2000)).diameter is None
+        with pytest.raises(
+            SizeLimitError,
+            match="^distance table guard: 4004001 entries exceeds 4000000$",
+        ):
+            metrics(Graph(2001))
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 10), st.data())
     def test_girth_matches_networkx(self, n, data):

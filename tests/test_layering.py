@@ -89,6 +89,30 @@ def test_command_loads_only_its_layers(python_child, argv, absent):
     assert not loaded & absent, sorted(loaded)
 
 
+def test_value_equality_is_written_once():
+    """Only NeutroNumber, equal to ints and Fractions and hashed like them,
+    and core's `_Value` base write `__eq__`/`__hash__`; every other value
+    class inherits them from `_Value` and gives only its `_key()`."""
+    src = os.path.dirname(neutromap.__file__)
+    written = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                written |= {
+                    (name, cls.name, node.name) for node in cls.body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name in ("__eq__", "__hash__")
+                }
+    assert written == {
+        ("core.py", cls, method)
+        for cls in ("NeutroNumber", "_Value") for method in ("__eq__", "__hash__")
+    }
+
+
 def test_all_is_the_export_list():
     assert len(neutromap.__all__) == len(EXPORTS)
     assert set(neutromap.__all__) == EXPORTS
