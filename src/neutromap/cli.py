@@ -10,7 +10,6 @@ error, 4 size-guard violation, 5 unknown name/file.
 """
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
@@ -323,9 +322,9 @@ def _cmd_rel(args, out):
         except ZeroDivisionError:
             raise ValueError("epsilon has a zero denominator") from None
         report = relations.properties(*rels, epsilon)
-        for f in dataclasses.fields(relations.PropertyReport):
-            out.put("props." + f.name.replace("_", "-"), f.name.replace("_", " "),
-                    getattr(report, f.name))
+        for name in relations.PropertyReport.__slots__:
+            out.put("props." + name.replace("_", "-"), name.replace("_", " "),
+                    getattr(report, name))
     else:
         table = relations.relational_join(*rels)
         for (x, y, z), v in table.items():

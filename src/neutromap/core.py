@@ -15,9 +15,8 @@ rescaled once into exact Fractions before it is unsplit.
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import attrgetter, mul
 
 
 class ShapeError(ValueError):
@@ -89,6 +88,44 @@ class _Value:
 
     def __hash__(self):
         return hash(self._key())
+
+
+class _Record(_Value):
+    """An immutable record whose fields are its `__slots__`, in order (at
+    least two): built by position or keyword, keyed by the field tuple,
+    printed as ``Name(field=value, ...)``, pickled through its constructor."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if len(cls.__slots__) < 2:
+            raise TypeError("a record needs at least two fields")
+        cls._get_fields = attrgetter(*cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if kwargs or len(args) != len(fields):  # all by position is the fast path
+            values = dict(zip(fields, args), **kwargs)
+            if len(values) != len(args) + len(kwargs) or values.keys() != set(fields):
+                raise TypeError("%s takes the fields %s" % (type(self).__name__, ", ".join(fields)))
+            args = map(values.get, fields)
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+
+    def _key(self):
+        return self._get_fields(self)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % pair for pair in zip(self.__slots__, self._key())))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._key()
 
 
 class NeutroNumber:
@@ -222,12 +259,10 @@ def parse_number(token):
     return NeutroNumber(a, b)
 
 
-@dataclass(frozen=True)
-class SplitPair:
+class SplitPair(_Record):
     """Componentwise image of a+bI under the isomorphism x -> (a, a+b)."""
 
-    first: Fraction
-    second: Fraction
+    __slots__ = ("first", "second")
 
 
 def split(x):

@@ -11,7 +11,6 @@ the hidden pattern: a fixed point or a limit cycle.
 All weights are restricted to {-1, 0, 1, I}; activations live in {0, 1, I}.
 """
 
-from dataclasses import dataclass
 from operator import mul
 
 from .core import (
@@ -21,6 +20,7 @@ from .core import (
     ONE,
     ShapeError,
     ZERO,
+    _Record,
     _Value,
     _as_nn,
     _check_guard,
@@ -126,11 +126,9 @@ class RelationalModel(_Value):
         )
 
 
-@dataclass(frozen=True)
-class HiddenPattern:
-    kind: str  # "fixed-point" | "limit-cycle"
-    states: tuple
-    steps_to_enter: int
+class HiddenPattern(_Record):
+    # kind is "fixed-point" or "limit-cycle"
+    __slots__ = ("kind", "states", "steps_to_enter")
 
 
 def _sign_rule(first, second):
@@ -304,11 +302,9 @@ def balance(model):
     return True, None
 
 
-@dataclass(frozen=True)
-class RmResult:
-    domain: HiddenPattern
-    range: HiddenPattern
-    trajectory: tuple  # of (domain state, range state) pairs
+class RmResult(_Record):
+    # two HiddenPatterns, and the (domain state, range state) pairs
+    __slots__ = ("domain", "range", "trajectory")
 
 
 def rm_run(model, s0, side="domain", clamp=None):

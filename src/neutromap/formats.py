@@ -11,17 +11,16 @@ layer, so a command loads only the layer of the kinds it reads.
 
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 
-from .core import ParseError, ZERO, I, matrix_from_lines, meaningful_lines, render_matrix
+from .core import (ParseError, SizeLimitError, ZERO, I, _Record, _check_guard,
+                   matrix_from_lines, meaningful_lines, render_matrix)
 
 MODEL_HEADER = "neutromap-model 1"
+ORDER_GUARD = 10 ** 6  # vertices a graph or neutro-graph file may declare
 
 
-@dataclass(frozen=True)
-class ModelFile:
-    kind: str
-    payload: object
+class ModelFile(_Record):
+    __slots__ = ("kind", "payload")
 
 
 # payload: "layer.Class"; parse: numbered body lines -> payload; write:
@@ -65,7 +64,7 @@ def parse_model(text):
         raise ParseError("unknown model kind %r" % (tag,))
     try:
         return ModelFile(tag, KINDS[tag].parse(lines[2:]))
-    except ParseError:
+    except (ParseError, SizeLimitError):
         raise
     except ValueError as exc:
         raise ParseError(str(exc)) from None
@@ -109,6 +108,7 @@ def _parse_graph_body(body):
     if not body:
         raise ParseError("graph body needs an `n m` line")
     n, m = _parse_ints(body[0][0], body[0][1], 2, "`n m`")
+    _check_guard("graph order", n, "vertices", ORDER_GUARD)
     if len(body) - 1 != m:
         raise ParseError(
             "expected %d edge lines, found %d" % (m, len(body) - 1)
@@ -129,6 +129,7 @@ def _parse_neutro_body(body):
     )
     if directed not in (0, 1):
         raise ParseError("line %d: directed flag must be 0 or 1" % (body[0][0],))
+    _check_guard("graph order", n_real + n_indet, "vertices", ORDER_GUARD)
     if len(body) - 1 != m:
         raise ParseError(
             "expected %d edge lines, found %d" % (m, len(body) - 1)

@@ -19,11 +19,10 @@ backtracking.  Every exponential search sits behind a size guard, and so
 do the edge count of a generated graph and the n x n distance table.
 """
 
-from dataclasses import dataclass
 from itertools import combinations, starmap, zip_longest
 from operator import add, sub
 
-from .core import NotFoundError, _Value, _check_guard, _echelon
+from .core import NotFoundError, _Record, _Value, _check_guard, _echelon
 
 
 class Graph(_Value):
@@ -133,12 +132,8 @@ def generate(kind, *params):
     return Graph(vertex_count, edges)
 
 
-@dataclass(frozen=True)
-class DegreeReport:
-    degrees: tuple
-    min_degree: int
-    max_degree: int
-    sequence: tuple
+class DegreeReport(_Record):
+    __slots__ = ("degrees", "min_degree", "max_degree", "sequence")
 
 
 def degree_report(G):
@@ -170,12 +165,8 @@ def _components(n, adj):
     return comps
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
-    components: tuple
-    is_connected: bool
-    cut_vertices: frozenset
-    cut_edges: frozenset
+class ConnectivityReport(_Record):
+    __slots__ = ("components", "is_connected", "cut_vertices", "cut_edges")
 
 
 def connectivity(G):
@@ -253,12 +244,8 @@ def _bfs_dist(n, adj, src):
     return dist
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    distances: tuple
-    girth: object
-    circumference: object
-    diameter: object
+class MetricsReport(_Record):
+    __slots__ = ("distances", "girth", "circumference", "diameter")
 
 
 def metrics(G):
@@ -603,12 +590,8 @@ def _cycle_search(nbrs, s, stop, seen):
     return best, None
 
 
-@dataclass(frozen=True)
-class ColoringReport:
-    chromatic_number: int
-    vertex_colors: tuple
-    edge_chromatic_number: int
-    edge_colors: tuple
+class ColoringReport(_Record):
+    __slots__ = ("chromatic_number", "vertex_colors", "edge_chromatic_number", "edge_colors")
 
 
 def coloring(G):

@@ -10,10 +10,9 @@ pruned by per-vertex kind and tag-degree signatures.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 
 from . import graphs
-from .core import I, NeutroMatrix, ShapeError, ZERO, ONE, _Value, _check_guard
+from .core import I, NeutroMatrix, ShapeError, ZERO, ONE, _Record, _Value, _check_guard
 
 
 _TAGS = ("R", "I")
@@ -158,15 +157,11 @@ def strip_indeterminates(G):
     return NeutroGraph(G.n_real, 0, edges, G.directed, G.allow_multi, G.allow_loops)
 
 
-@dataclass(frozen=True)
-class NeutroDegreeReport:
-    degrees: tuple
-    min_degree: object
-    max_degree: object
-    k_neutro_regular: object
-    strongly_regular: bool
-    isolated: tuple
-    pendent: tuple
+class NeutroDegreeReport(_Record):
+    __slots__ = (
+        "degrees", "min_degree", "max_degree", "k_neutro_regular",
+        "strongly_regular", "isolated", "pendent",
+    )
 
 
 def neutro_degree_report(G):
@@ -259,13 +254,8 @@ def neutro_components(G):
     return comps, neutro, len(neutro) >= 2
 
 
-@dataclass(frozen=True)
-class NeutroTreeReport:
-    is_neutro_tree: bool
-    eccentricities: object
-    radius: object
-    neutro_diameter: object
-    neutro_center: object
+class NeutroTreeReport(_Record):
+    __slots__ = ("is_neutro_tree", "eccentricities", "radius", "neutro_diameter", "neutro_center")
 
 
 def neutro_tree(G):

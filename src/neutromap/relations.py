@@ -14,7 +14,6 @@ Python integers.  Grades are encoded once and results decoded once, back
 to the exact Fraction-valued grades.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import and_
 
@@ -22,6 +21,7 @@ from .core import (
     NotFoundError,
     ParseError,
     ShapeError,
+    _Record,
     _Value,
     _render_fraction,
     parse_number,
@@ -204,11 +204,9 @@ class FuzzyNeutroRelation(_Value):
         return "FuzzyNeutroRelation(%d x %d)" % self.shape
 
 
-@dataclass(frozen=True)
-class DomRanHeight:
-    domain: tuple
-    range: tuple
-    height: FuzzyNeutroValue
+class DomRanHeight(_Record):
+    # height is a FuzzyNeutroValue
+    __slots__ = ("domain", "range", "height")
 
 
 def dom_ran_height(R):
@@ -320,19 +318,12 @@ def _at_least(v, threshold):
     return v.magnitude >= threshold
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    reflexive: object
-    epsilon_reflexive: object
-    irreflexive: object
-    anti_reflexive: object
-    symmetric: object
-    asymmetric: object
-    antisymmetric: object
-    transitive: object
-    anti_transitive: object
-    compatibility: object
-    partial_order: object
+class PropertyReport(_Record):
+    __slots__ = (
+        "reflexive", "epsilon_reflexive", "irreflexive", "anti_reflexive",
+        "symmetric", "asymmetric", "antisymmetric", "transitive",
+        "anti_transitive", "compatibility", "partial_order",
+    )
 
 
 def properties(R, epsilon=Fraction(1, 2)):

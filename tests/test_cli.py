@@ -2,6 +2,9 @@
 
 import io
 import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -216,6 +219,24 @@ class TestExitCodes:
         assert (r.returncode, r.stdout) == (4, "")
         assert r.stderr == (
             "error: distance table guard: 10000000000 entries exceeds 4000000\n"
+        )
+
+    def test_model_order_guard(self, python_child, tmp_path):
+        # one edge, but 10^9 declared vertices would not fit under this cap
+        big = tmp_path / "big.model"
+        big.write_text("neutromap-model 1\nkind graph\n1000000000 1\n0 1\n")
+        r = python_child("-c", CAPPED_CLI, "graph", "analyze", str(big), timeout=20)
+        assert (r.returncode, r.stdout) == (4, "")
+        assert r.stderr == "error: graph order guard: 1000000000 vertices exceeds 1000000\n"
+
+    def test_model_order_guard_edge(self, capsys, tmp_path):
+        model = tmp_path / "edge.model"
+        for n_indet, code in ((999995, 0), (999996, 4)):
+            model.write_text("neutromap-model 1\nkind neutro-graph\n5 %d 1 0\n0 1 R\n" % n_indet)
+            assert run(capsys, "ngraph", "classify", str(model))[0] == code
+        model.write_text("neutromap-model 1\nkind graph\n1000001 0\n")
+        assert run(capsys, "graph", "analyze", str(model)) == (
+            4, "", "error: graph order guard: 1000001 vertices exceeds 1000000\n"
         )
 
     def test_generator_parameter_count(self, capsys):
@@ -579,3 +600,63 @@ class TestExportDot:
         _, dot, _ = run(capsys, "export", "dot", fx("fig-2.2.3.model"))
         assert dot.startswith("graph G {")
         assert dot.rstrip().endswith("}")
+
+
+# the commands that read each model kind, with `-` for the model on stdin;
+# `{name}` is the first concept or domain name of the fixture before mutation
+FUZZ_COMMANDS = {
+    "graph": (["graph", "analyze", "-"], ["export", "dot", "-"]),
+    "neutro-graph": (["ngraph", "classify", "-"], ["ngraph", "color", "-"]),
+    "relation": (["rel", "props", "-"], ["rel", "closure", "-"]),
+    "concept-model": (["cm", "run", "-", "--on", "{name}"], ["export", "dot", "-"]),
+    "relational-model": (["rm", "run", "-", "--side", "domain", "--on", "{name}"],),
+}
+
+
+def _fuzz_cases():
+    """(fixture text, argv) for each fixture and each command that reads it."""
+    cases = []
+    for fixture in sorted(os.listdir(FIXTURES)):
+        if fixture.endswith(".model"):
+            with open(fx(fixture), "r", encoding="utf-8") as fh:
+                text = fh.read()
+            mf = parse_model(text)
+            names = getattr(mf.payload, "concept_names", None) or getattr(
+                mf.payload, "domain_names", [""])
+            cases += [(text, [a.format(name=names[0]) for a in argv])
+                      for argv in FUZZ_COMMANDS[mf.kind]]
+    return cases
+
+
+# an edit: where (taken modulo the text length), how many characters to
+# delete there, and what to insert in their place
+EDITS = st.tuples(
+    st.integers(0, 10 ** 4), st.integers(0, 3),
+    st.text(alphabet="0123456789 -+/.,IRCDx\n", max_size=2),
+)
+
+
+class TestCliFuzz:
+    """Mutated model text gives an exit code of 0-5 and, on failure, one
+    `error:` line; no exception escapes `main`."""
+
+    @settings(deadline=timedelta(seconds=5), max_examples=150)
+    @given(st.sampled_from(_fuzz_cases()), st.lists(EDITS, min_size=1, max_size=3))
+    def test_mutated_model(self, case, edits):
+        text, argv = case
+        for where, cut, insert in edits:
+            where %= len(text) + 1
+            text = text[:where] + insert + text[where + cut:]
+        out, err = io.StringIO(), io.StringIO()
+        stdin, sys.stdin = sys.stdin, io.StringIO(text)
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        finally:
+            sys.stdin = stdin
+        err = err.getvalue()
+        assert code in range(6)
+        if code:
+            assert err.count("\n") == 1 and err.startswith("error: "), err
+        else:
+            assert err == ""

@@ -1,5 +1,9 @@
 """Unit tests for exact a+bI arithmetic, matrices, and parsing."""
 
+import copy
+import doctest
+import os
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -28,10 +32,26 @@ from neutromap.core import (
     split,
     unsplit,
 )
-from neutromap.engines import ConceptModel, RelationalModel
-from neutromap.graphs import Graph, Polynomial
-from neutromap.ngraph import NeutroGraph
-from neutromap.relations import FuzzyNeutroRelation, FuzzyNeutroValue
+from neutromap.engines import ConceptModel, HiddenPattern, RelationalModel, RmResult
+from neutromap.formats import ModelFile
+from neutromap.graphs import (
+    ColoringReport,
+    ConnectivityReport,
+    DegreeReport,
+    Graph,
+    MetricsReport,
+    Polynomial,
+)
+from neutromap.ngraph import NeutroDegreeReport, NeutroGraph, NeutroTreeReport
+from neutromap.relations import (
+    FI,
+    FONE,
+    INDETERMINATE,
+    DomRanHeight,
+    FuzzyNeutroRelation,
+    FuzzyNeutroValue,
+    PropertyReport,
+)
 
 import goldens
 import oracles
@@ -295,6 +315,84 @@ VALUES = {
     ),
 }
 
+# record class name -> (a builder of one record, its repr); each record is
+# also a value above, keyed by all its fields in order
+RECORDS = {
+    "SplitPair": (
+        lambda: split("2-6I"),
+        "SplitPair(first=Fraction(2, 1), second=Fraction(-4, 1))",
+    ),
+    "ModelFile": (
+        lambda: ModelFile("graph", Graph(2, [(0, 1)])),
+        "ModelFile(kind='graph', payload=Graph(2, m=1))",
+    ),
+    "HiddenPattern": (
+        lambda: HiddenPattern("fixed-point", ((ONE,),), 1),
+        "HiddenPattern(kind='fixed-point', states=((NeutroNumber('1'),),),"
+        " steps_to_enter=1)",
+    ),
+    "RmResult": (
+        lambda: RmResult(HiddenPattern("limit-cycle", ((I,), (ZERO,)), 0),
+                         HiddenPattern("fixed-point", ((ONE,),), 2), ()),
+        "RmResult(domain=HiddenPattern(kind='limit-cycle', states=((NeutroNumber('I'),),"
+        " (NeutroNumber('0'),)), steps_to_enter=0), range=HiddenPattern(kind='fixed-point',"
+        " states=((NeutroNumber('1'),),), steps_to_enter=2), trajectory=())",
+    ),
+    "DegreeReport": (
+        lambda: DegreeReport((1, 2, 1), 1, 2, (2, 1, 1)),
+        "DegreeReport(degrees=(1, 2, 1), min_degree=1, max_degree=2, sequence=(2, 1, 1))",
+    ),
+    "ConnectivityReport": (
+        lambda: ConnectivityReport(((0, 1), (2,)), False, frozenset(), frozenset({(0, 1)})),
+        "ConnectivityReport(components=((0, 1), (2,)), is_connected=False,"
+        " cut_vertices=frozenset(), cut_edges=frozenset({(0, 1)}))",
+    ),
+    "MetricsReport": (
+        lambda: MetricsReport(((0, 1), (1, 0)), None, None, 1),
+        "MetricsReport(distances=((0, 1), (1, 0)), girth=None, circumference=None,"
+        " diameter=1)",
+    ),
+    "ColoringReport": (
+        lambda: ColoringReport(2, (0, 1), 1, (0,)),
+        "ColoringReport(chromatic_number=2, vertex_colors=(0, 1),"
+        " edge_chromatic_number=1, edge_colors=(0,))",
+    ),
+    "NeutroDegreeReport": (
+        lambda: NeutroDegreeReport((2,), 2, 2, 2, False, (), ()),
+        "NeutroDegreeReport(degrees=(2,), min_degree=2, max_degree=2,"
+        " k_neutro_regular=2, strongly_regular=False, isolated=(), pendent=())",
+    ),
+    "NeutroTreeReport": (
+        lambda: NeutroTreeReport(True, (1, 1), 1, 1, (3, 4)),
+        "NeutroTreeReport(is_neutro_tree=True, eccentricities=(1, 1), radius=1,"
+        " neutro_diameter=1, neutro_center=(3, 4))",
+    ),
+    "DomRanHeight": (
+        lambda: DomRanHeight((FI,), (FONE,), FONE),
+        "DomRanHeight(domain=(FuzzyNeutroValue(I),), range=(FuzzyNeutroValue(1),),"
+        " height=FuzzyNeutroValue(1))",
+    ),
+    "PropertyReport": (
+        lambda: PropertyReport(True, True, False, False, INDETERMINATE, False,
+                               INDETERMINATE, True, False, True, INDETERMINATE),
+        "PropertyReport(reflexive=True, epsilon_reflexive=True, irreflexive=False,"
+        " anti_reflexive=False, symmetric=indeterminate, asymmetric=False,"
+        " antisymmetric=indeterminate, transitive=True, anti_transitive=False,"
+        " compatibility=True, partial_order=indeterminate)",
+    ),
+}
+
+
+def _other_record(make):
+    """A record of the same class that differs from make() in its last field."""
+    x = make()
+    *first, last = (getattr(x, f) for f in type(x).__slots__)
+    return type(x)(*first, (last, "other"))
+
+
+for _name, (_make, _) in RECORDS.items():
+    VALUES[_name] = (_make, lambda make=_make: _other_record(make), type(_make()).__slots__)
+
 
 class TestValueSemantics:
     @pytest.mark.parametrize("name", sorted(VALUES))
@@ -321,3 +419,37 @@ class TestValueSemantics:
     def test_graphs_ignore_the_multigraph_flags(self, make):
         plain, flagged = make(), make(allow_multi=True, allow_loops=True)
         assert plain == flagged and hash(plain) == hash(flagged)
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_record_builds_by_keyword_and_stays_fixed(self, name):
+        make, text = RECORDS[name]
+        x = make()
+        fields = type(x).__slots__
+        assert repr(x) == text
+        assert type(x)(**{f: getattr(x, f) for f in fields}) == x
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(x, fields[0], None)
+        with pytest.raises(TypeError):
+            type(x)(*(getattr(x, f) for f in fields[:-1]))
+        with pytest.raises(TypeError):
+            type(x)(*(getattr(x, f) for f in fields), no_such_field=1)
+
+    @pytest.mark.parametrize("name", ["NeutroNumber", *sorted(VALUES)])
+    def test_survives_pickle_and_deepcopy(self, name):
+        x = nn(2, -6) if name == "NeutroNumber" else VALUES[name][0]()
+        for twin in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert type(twin) is type(x) and twin == x and hash(twin) == hash(x)
+            assert repr(twin) == repr(x)
+
+    def test_indeterminate_stays_one_object(self):
+        report = RECORDS["PropertyReport"][0]()
+        for twin in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+            assert twin.symmetric is INDETERMINATE
+        assert pickle.loads(pickle.dumps(INDETERMINATE)) is INDETERMINATE
+        assert copy.deepcopy(INDETERMINATE) is INDETERMINATE
+
+
+def test_readme_library_tour():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    failed, attempted = doctest.testfile(readme, module_relative=False)
+    assert (failed, attempted) == (0, 5)

@@ -1,6 +1,6 @@
 """Layering: the library loads without the command-line front end, the
 package loads no layer until one of its names is used, and each command
-loads only the layers it calls."""
+loads only the layers it calls and none of the heavy standard modules."""
 
 import ast
 import os
@@ -37,11 +37,15 @@ EXPORTS = {
     "ModelFile", "export_dot", "model_for", "parse_model", "serialize_model",
 }
 
-# prints the neutromap submodules a child has loaded after running its code
+# `dataclasses` pulls in `inspect`, which pulls in `ast` and `dis`: several
+# milliseconds at every start of a command that needs none of them
+HEAVY = ("ast", "dataclasses", "dis", "inspect")
+# prints the neutromap submodules and the HEAVY modules a child has loaded
+# after running its code
 LOADED = (
     "import sys; {}; "
-    "print(sorted(m for m in sys.modules if m.startswith('neutromap.')), "
-    "file=sys.stderr)"
+    "print(sorted(m for m in sys.modules if m.startswith('neutromap.') "
+    "or m in %r), file=sys.stderr)" % (HEAVY,)
 )
 RUN_CLI = "from neutromap.cli import main; main(sys.argv[1:])"
 
@@ -66,27 +70,40 @@ def test_import_neutromap_loads_no_layer(python_child):
     assert (r.returncode, r.stderr) == (0, "[]\n")
 
 
+def test_import_cli_loads_no_heavy_module(python_child):
+    r = python_child("-c", LOADED.format("import neutromap.cli"))
+    assert (r.returncode, r.stderr) == (
+        0, "['neutromap.cli', 'neutromap.core', 'neutromap.formats']\n"
+    )
+
+
+def _fixture(name):
+    return os.path.join(FIXTURES, name)
+
+
+# every command loads the cli, core and formats; beyond those, only these
 @pytest.mark.parametrize(
-    "argv, absent",
+    "argv, layers",
     [
-        (["graph", "analyze", "complete-5"], {"relations", "engines", "ngraph"}),
+        (["graph", "analyze", "complete-5"], {"graphs"}),
+        (["ngraph", "color", _fixture("fig-3.2.8-NA.model")], {"graphs", "ngraph"}),
+        (["rel", "props", _fixture("ex-2.8.3.model")], {"relations"}),
+        (["cm", "run", _fixture("ex-3.7.1-NE.model"), "--on", "C1"], {"engines"}),
         (
-            ["cm", "run", os.path.join(FIXTURES, "ex-3.7.1-NE.model"), "--on", "C1"],
-            {"relations", "ngraph", "graphs"},
+            ["rm", "run", _fixture("ex-3.7.10-NR.model"), "--side", "domain", "--on", "D1"],
+            {"engines"},
         ),
-        (
-            ["rel", "props", os.path.join(FIXTURES, "ex-2.8.3.model")],
-            {"graphs", "ngraph", "engines"},
-        ),
+        (["link", _fixture("ex-3.7.11-NE1.model"), _fixture("ex-3.7.11-NE2.model")], {"engines"}),
+        (["export", "dot", _fixture("ex-2.8.3.model")], {"relations"}),
     ],
-    ids=["graph-analyze", "cm-run", "rel-props"],
+    ids=["graph-analyze", "ngraph-color", "rel-props", "cm-run", "rm-run", "link", "export-dot"],
 )
-def test_command_loads_only_its_layers(python_child, argv, absent):
+def test_command_loads_only_its_layers(python_child, argv, layers):
     r = python_child("-c", LOADED.format(RUN_CLI), *argv)
     # a failing command would print an `error:` line before the module list
     assert r.returncode == 0 and r.stdout and r.stderr.startswith("["), r.stderr
-    loaded = {m.split(".")[1] for m in ast.literal_eval(r.stderr)}
-    assert not loaded & absent, sorted(loaded)
+    loaded = ast.literal_eval(r.stderr)
+    assert loaded == sorted("neutromap." + m for m in {"cli", "core", "formats"} | layers)
 
 
 def test_value_equality_is_written_once():
