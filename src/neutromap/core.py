@@ -186,9 +186,6 @@ class NeutroNumber:
     def __bool__(self):
         return bool(self.real or self.indet)
 
-    def is_real(self):
-        return self.indet == 0
-
     def __str__(self):
         a, b = self.real, self.indet
         if b == 0:
@@ -308,9 +305,6 @@ class NeutroMatrix(_Value):
 
     def __iter__(self):
         return iter(self._rows)
-
-    def to_rows(self):
-        return [list(r) for r in self._rows]
 
     def _key(self):
         return self._rows

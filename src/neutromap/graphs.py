@@ -2,7 +2,10 @@
 
 Vertices are indices 0..n-1.  Edges are unordered pairs; parallel edges and
 loops only appear when the corresponding flag is set (contraction creates
-them internally).  Components, cut vertices and bridges come from one
+them internally).  Each graph builds one neighbour view, incident edges and
+distinct neighbours in ascending order, that every routine here and in
+`ngraph` shares, so searches and certificates follow ascending neighbour
+order.  Components, cut vertices and bridges come from one
 lowpoint depth-first search (Hopcroft-Tarjan), one component per DFS tree.
 An Euler tour is Hierholzer's, and the edges are connected exactly when it
 covers them all.  The line graph pairs the edges at each vertex.
@@ -20,13 +23,13 @@ do the edge count of a generated graph and the n x n distance table.
 """
 
 from itertools import combinations, starmap, zip_longest
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 from .core import NotFoundError, _Record, _Value, _check_guard, _echelon
 
 
 class Graph(_Value):
-    __slots__ = ("vertex_count", "edges", "allow_multi", "allow_loops")
+    __slots__ = ("vertex_count", "edges", "allow_multi", "allow_loops", "_view")
 
     def __init__(self, vertex_count, edges=(), allow_multi=False, allow_loops=False):
         if vertex_count < 0:
@@ -47,6 +50,7 @@ class Graph(_Value):
         self.edges = tuple(norm)
         self.allow_multi = allow_multi
         self.allow_loops = allow_loops
+        self._view = None
 
     @property
     def m(self):
@@ -55,13 +59,24 @@ class Graph(_Value):
     def is_simple(self):
         return not self.allow_multi and not self.allow_loops
 
-    def adjacency(self):
-        """Neighbor sets, ignoring multiplicity; loops put v in its own set."""
-        adj = [set() for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+    def view(self):
+        """(incidence, neighbours), built on first use and shared: per vertex,
+        (other end, edge index) for each incident edge with a loop listed
+        once, and the distinct neighbours (a loop puts v among its own).
+
+        Edges are sorted, so both come out ascending by the other end.
+        """
+        if self._view is None:
+            incidence = [[] for _ in range(self.vertex_count)]
+            for idx, (u, v) in enumerate(self.edges):
+                incidence[u].append((v, idx))
+                if u != v:
+                    incidence[v].append((u, idx))
+            self._view = (
+                tuple(map(tuple, incidence)),
+                tuple(tuple(dict.fromkeys(map(itemgetter(0), at))) for at in incidence),
+            )
+        return self._view
 
     def degrees(self):
         deg = [0] * self.vertex_count
@@ -69,10 +84,6 @@ class Graph(_Value):
             deg[u] += 1
             deg[v] += 1
         return deg
-
-    def has_edge(self, u, v):
-        e = (u, v) if u <= v else (v, u)
-        return e in self.edges
 
     def _key(self):
         return self.vertex_count, self.edges
@@ -177,7 +188,7 @@ def connectivity(G):
     parallel edge is never a bridge.
     """
     n = G.vertex_count
-    incidence = _incidence(G)
+    incidence = G.view()[0]
     disc = [None] * n
     low = [0] * n
     hits = [0] * n  # DFS children w of v with low[w] >= disc[v]
@@ -219,16 +230,6 @@ def connectivity(G):
     )
 
 
-def _incidence(G):
-    """Per vertex, (other end, edge index) for each incident edge; loops once."""
-    incidence = [[] for _ in range(G.vertex_count)]
-    for idx, (u, v) in enumerate(G.edges):
-        incidence[u].append((v, idx))
-        if u != v:
-            incidence[v].append((u, idx))
-    return incidence
-
-
 def _bfs_dist(n, adj, src):
     dist = [None] * n
     dist[src] = 0
@@ -251,13 +252,13 @@ class MetricsReport(_Record):
 def metrics(G):
     n = G.vertex_count
     _check_guard("distance table", n * n, "entries", DISTANCE_GUARD)
-    adj = G.adjacency()
-    dists = tuple(tuple(_bfs_dist(n, adj, s)) for s in range(n))
+    nbrs = G.view()[1]
+    dists = tuple(tuple(_bfs_dist(n, nbrs, s)) for s in range(n))
 
     # no cycle uses a bridge, so both cycle searches run without them
-    for u, v in connectivity(G).cut_edges:
-        adj[u].discard(v)
-        adj[v].discard(u)
+    bridges = connectivity(G).cut_edges
+    nbrs = [[w for w in at if ((v, w) if v < w else (w, v)) not in bridges]
+            for v, at in enumerate(nbrs)]
     # edges are sorted, so parallel pairs sit next to each other
     loop = any(u == v for u, v in G.edges)
     parallel = any(a == b and a[0] != a[1] for a, b in zip(G.edges, G.edges[1:]))
@@ -266,11 +267,10 @@ def metrics(G):
     elif parallel:
         girth = 2
     else:
-        girth = _girth(n, adj)
+        girth = _girth(n, nbrs)
 
     # a cycle through s lies on vertices >= s, so one of n - s vertices is
     # the longest any later start can find
-    nbrs = [sorted(a) for a in adj]
     circumference = 2 if parallel else 1 if loop else 0
     seen = set()
     for s in range(n):
@@ -320,7 +320,7 @@ def is_bipartite(G):
     to the meeting vertex and down to y.
     """
     n = G.vertex_count
-    adj = G.adjacency()
+    adj = G.view()[1]
     for u, v in G.edges:
         if u == v:
             return False, (u,)
@@ -407,7 +407,7 @@ def line_graph(G):
     if any(u == v for u, v in G.edges):
         raise ValueError("line graph needs a loopless graph")
     out = set()
-    for at in _incidence(G):
+    for at in G.view()[0]:
         out.update(combinations([idx for _w, idx in at], 2))
     return Graph(G.m, out)
 
@@ -474,7 +474,7 @@ def eulerian(G):
     if not active or any(deg[v] % 2 for v in active):
         return False, None
 
-    todo = [iter(at) for at in _incidence(G)]
+    todo = [iter(at) for at in G.view()[0]]
     used = [False] * G.m
     stack = [active[0]]
     path = []
@@ -519,7 +519,8 @@ def hamiltonian(G):
     if n < 3:
         raise ValueError("hamiltonicity is undefined below 3 vertices")
 
-    adj = G.adjacency()
+    nbrs = G.view()[1]
+    adj = [set(at) for at in nbrs]  # the closure adds to these
     deg = G.degrees()
     low = min(deg)
     added = []
@@ -551,7 +552,7 @@ def hamiltonian(G):
     if low < 2:
         return closure, False, None
 
-    cycle = _cycle_search([sorted(a) for a in G.adjacency()], 0, n, set())[1]
+    cycle = _cycle_search(nbrs, 0, n, set())[1]
     return closure, cycle is not None, cycle
 
 
@@ -621,7 +622,7 @@ def _chromatic(n, edges):
         for v in cert[1]:
             colors[v] = 1
         return 2, colors
-    adj = H.adjacency()
+    adj = H.view()[1]
     order = sorted(range(n), key=lambda v: -len(adj[v]))
     return _min_coloring(adj, order, max(3, _greedy_clique(n, adj)))
 
@@ -673,7 +674,7 @@ def _edge_chromatic(G):
     if m == 0:
         return 0, []
     delta = max(G.degrees())
-    eadj = line_graph(G).adjacency()
+    eadj = line_graph(G).view()[1]
     return _min_coloring(eadj, _propagation_order(m, eadj), delta)
 
 
@@ -881,7 +882,7 @@ def spanning_tree_count(G):
     """tau(G) as a Laplacian cofactor; loops ignored, parallel edges counted."""
     n = G.vertex_count
     # the cofactor is singular exactly when G is disconnected: skip elimination
-    if n == 0 or len(_components(n, G.adjacency())) > 1:
+    if n == 0 or len(_components(n, G.view()[1])) > 1:
         return 0
     L = [[0] * n for _ in range(n)]
     for u, v in G.edges:
@@ -910,7 +911,7 @@ def tutte(G):
         names[u][v] = sym
         names[v][u] = "-" + sym
     matrix = tuple(tuple(row) for row in names)
-    return matrix, 2 * len(_maximum_matching(n, G.adjacency())) == n
+    return matrix, 2 * len(_maximum_matching(n, G.view()[1])) == n
 
 
 def _maximum_matching(n, adj):

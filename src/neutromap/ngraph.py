@@ -247,7 +247,7 @@ def neutro_components(G):
     neutrosophic component does not qualify.  A component is neutrosophic
     when it holds an indeterminate vertex or an end of an I-edge.
     """
-    comps = tuple(graphs._components(G.vertex_count, G.underlying().adjacency()))
+    comps = tuple(graphs._components(G.vertex_count, G.underlying().view()[1]))
     marked = set(range(G.n_real, G.vertex_count))
     marked.update(u for u, _v, t in G.edges if t == "I")
     neutro = tuple(comp for comp in comps if not marked.isdisjoint(comp))
@@ -267,7 +267,7 @@ def neutro_tree(G):
     """
     U = G.underlying()
     n = U.vertex_count
-    adj = U.adjacency()
+    adj = U.view()[1]
     comps = graphs._components(n, adj)
     connected = len(comps) <= 1
     loops = any(u == v for u, v, _t in G.edges)

@@ -781,8 +781,8 @@ def root_chain_bipartite(n, edges):
     """(True, (part0, part1)) or (False, odd cycle) by BFS two-colouring.
 
     On a clash x-y both root chains are built whole, and the cycle turns at
-    the first vertex of y's chain that x's chain holds.  `edges` are a
-    Graph's sorted pairs: the BFS follows the neighbour sets they build.
+    the first vertex of y's chain that x's chain holds.  The BFS visits each
+    vertex's neighbours in ascending order, as a Graph's neighbour view does.
     """
     for u, v in edges:
         if u == v:
@@ -799,7 +799,7 @@ def root_chain_bipartite(n, edges):
         while head < len(queue):
             x = queue[head]
             head += 1
-            for y in adj[x]:
+            for y in sorted(adj[x]):
                 if color[y] is None:
                     color[y] = 1 - color[x]
                     parent[y] = x

@@ -127,6 +127,9 @@ def _cases():
         add("gen/" + gen, "graph", "analyze", gen)
         for a in ANALYSES:
             add("gen/%s/%s" % (gen, a), "graph", "analyze", gen, "--" + a)
+    # odd cycles whose certificate follows ascending neighbour order
+    for gen in ("cycle-9", "wheel-9"):
+        add("gen/%s/bipartite" % gen, "graph", "analyze", gen, "--bipartite")
     add("gen-seed/petersen", "graph", "analyze", "petersen", "--tutte",
         "--seed", "7")
 

@@ -1,6 +1,8 @@
 """Unit tests for the classical graph layer."""
 
+import ast
 import math
+import os
 import random
 import sys
 import time
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neutromap import graphs
+import neutromap
+from neutromap import graphs, ngraph
 from neutromap.core import SizeLimitError
 from neutromap.graphs import (
     Graph,
@@ -33,6 +36,7 @@ from neutromap.graphs import (
     _maximum_matching,
 )
 from neutromap.core import NotFoundError
+from neutromap.ngraph import NeutroGraph
 
 import goldens
 import oracles
@@ -236,13 +240,13 @@ class TestMetrics:
         H.add_edges_from(edges)
         girth = nx.girth(H)
         # the circumference beside it in `metrics` is guarded at this size
-        got = graphs._girth(n, Graph(n, edges).adjacency())
+        got = graphs._girth(n, Graph(n, edges).view()[1])
         assert got == (None if girth == math.inf else girth)
 
     def test_dense_girth_stops_at_the_first_triangle(self):
         t0 = time.perf_counter()
-        assert graphs._girth(300, generate("complete", 300).adjacency()) == 3
-        assert graphs._girth(60, generate("complete-bipartite", 30, 30).adjacency()) == 4
+        assert graphs._girth(300, generate("complete", 300).view()[1]) == 3
+        assert graphs._girth(60, generate("complete-bipartite", 30, 30).view()[1]) == 4
         assert time.perf_counter() - t0 < 1.0
 
     @settings(max_examples=300, deadline=None)
@@ -482,6 +486,124 @@ class TestOnePass:
         assert calls == ["_components"]
 
 
+class TestSharedView:
+    """Each Graph builds one ascending neighbour view, and no graphs or ngraph
+    routine changes it."""
+
+    # bridges, loops and parallel edges; the simple ones go everywhere
+    GRAPHS = (
+        Graph(8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5), (5, 6)]),
+        Graph(6, [(0, 1), (0, 1), (1, 2), (2, 2), (2, 3), (3, 4), (4, 5), (3, 5)],
+              allow_multi=True, allow_loops=True),
+        Graph(5, [(0, 1), (0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (3, 4)], allow_multi=True),
+        Graph(4, [(0, 0), (0, 1), (1, 2), (1, 3)], allow_loops=True),
+        generate("wheel", 6),
+        generate("petersen"),
+        Graph(4),
+    )
+    NGRAPHS = (
+        NeutroGraph(5, 2, [(0, 1, "R"), (1, 2, "I"), (0, 2, "R"), (2, 3, "R"),
+                           (3, 5, "I"), (5, 6, "R"), (4, 4, "R"), (3, 4, "R")],
+                    allow_loops=True),
+        NeutroGraph(4, 2, [(0, 1, "R"), (0, 1, "I"), (1, 4, "I"), (4, 2, "R"),
+                           (2, 3, "R"), (3, 5, "R")], allow_multi=True),
+        NeutroGraph(4, 1, [(0, 1, "R"), (1, 2, "I"), (2, 0, "R"), (3, 4, "I"), (4, 3, "R")],
+                    directed=True),
+    )
+
+    @pytest.fixture
+    def read(self, monkeypatch):
+        """Every Graph whose view a routine reads, internal ones included."""
+        read = []
+        view = Graph.view
+
+        def recording(G):
+            read.append(G)
+            return view(G)
+
+        monkeypatch.setattr(Graph, "view", recording)
+        return read
+
+    @staticmethod
+    def assert_intact(read):
+        """Each view read equals a fresh graph's; returns how many there were."""
+        graphs_read = list(read)
+        for G in graphs_read:
+            fresh = Graph(G.vertex_count, G.edges, G.allow_multi, G.allow_loops)
+            assert G.view() == fresh.view()
+        read.clear()
+        return len(graphs_read)
+
+    def test_view_is_built_once_and_ascending(self):
+        G = self.GRAPHS[1]
+        incidence, nbrs = G.view()
+        assert G.view() is G.view()
+        assert incidence[2] == ((1, 2), (2, 3), (3, 4))  # the loop once
+        assert nbrs == ((1,), (0, 2), (1, 2, 3), (2, 4, 5), (3, 5), (3, 4))
+
+    def test_graph_routines_leave_every_view_intact(self, read):
+        checked = 0
+        for G in self.GRAPHS:
+            loopless = all(u != v for u, v in G.edges)
+            runs = [degree_report, connectivity, metrics, is_bipartite, eulerian,
+                    spanning_tree_count]
+            if loopless:
+                runs += [line_graph, coloring]
+            if G.is_simple():
+                runs += [hamiltonian, chromatic_polynomial, tutte, complement]
+            for routine in runs:
+                routine(G)
+                checked += self.assert_intact(read)
+            if G.m:
+                for H in (edit(G, "delete-edges", [G.edges[0]]),
+                          edit(G, "delete-vertices", [0])):
+                    connectivity(H)
+                    metrics(H)
+                    checked += self.assert_intact(read)
+        assert checked > 4 * len(self.GRAPHS)
+
+    def test_ngraph_routines_leave_every_view_intact(self, read):
+        checked = 0
+        for G in self.NGRAPHS:
+            runs = [ngraph.neutro_components, ngraph.neutro_tree, ngraph.neutro_eulerian]
+            if all(u != v for u, v, _t in G.edges):
+                runs.append(ngraph.neutro_coloring)
+            for routine in runs:
+                routine(G)
+                checked += self.assert_intact(read)
+        assert checked >= 3 * len(self.NGRAPHS)
+
+    def test_only_the_constructor_sets_vertices_and_edges(self):
+        """The view is kept beside vertex_count and edges, so nothing in the
+        library may set them after Graph.__init__.  NeutroGraph.__init__ sets
+        its own tagged edges, which have no view."""
+        attrs = ("vertex_count", "edges")
+        writes = []
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                    visit(child, scope + (child.name,))
+                    continue
+                if isinstance(child, ast.Attribute) and child.attr in attrs \
+                        and not isinstance(child.ctx, ast.Load):
+                    writes.append(scope)
+                if isinstance(child, ast.Call) and getattr(
+                        child.func, "id", getattr(child.func, "attr", None)
+                ) in ("setattr", "__setattr__", "delattr", "__delattr__"):
+                    if any(isinstance(a, ast.Constant) and a.value in attrs for a in child.args):
+                        writes.append(scope)
+                visit(child, scope)
+
+        src = os.path.dirname(neutromap.__file__)
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".py"):
+                with open(os.path.join(src, name), encoding="utf-8") as fh:
+                    visit(ast.parse(fh.read()), (name,))
+        assert set(writes) == {("graphs.py", "Graph", "__init__"),
+                               ("ngraph.py", "NeutroGraph", "__init__")}
+
+
 class TestHamiltonian:
     def test_cycle_found(self):
         closure, flag, cyc = hamiltonian(generate("cycle", 5))
@@ -516,7 +638,7 @@ class TestHamiltonian:
         closure, flag, cycle = hamiltonian(G)
         assert (closure.m, flag, cycle) == (79, False, None)
         # hamiltonian skips the search below degree 2, so run it directly
-        nbrs = [sorted(a) for a in G.adjacency()]
+        nbrs = G.view()[1]
         seen = set()
         assert graphs._cycle_search(nbrs, 0, 14, seen) == (0, None)
         assert 0 < len(seen) <= graphs.CYCLE_GUARD
@@ -858,7 +980,7 @@ class TestTutte:
             edges = oracles.random_simple_graph(rng, n)
             G = Graph(n, edges)
             assert tutte(G)[1] == oracles.has_perfect_matching(n, edges)
-            assert_matching(G, _maximum_matching(n, G.adjacency()))
+            assert_matching(G, _maximum_matching(n, G.view()[1]))
 
     def test_matches_random_determinants_and_networkx(self):
         nx = pytest.importorskip("networkx")
@@ -867,7 +989,7 @@ class TestTutte:
             n = 2 * rng.randint(7, 30)  # an odd order needs no determinant
             edges = oracles.random_simple_graph(rng, n, rng.choice([0.05, 0.1, 0.2, 0.3]))
             G = Graph(n, edges)
-            matching = _maximum_matching(n, G.adjacency())
+            matching = _maximum_matching(n, G.view()[1])
             assert_matching(G, matching)
             assert tutte(G)[1] == oracles.randomized_tutte_flag(n, edges, k)
             H = nx.Graph()
@@ -881,7 +1003,7 @@ class TestTutte:
         nx = pytest.importorskip("networkx")
         n, edges = odd_cycle_chain(lengths, link)
         G = Graph(n, edges)
-        matching = _maximum_matching(n, G.adjacency())
+        matching = _maximum_matching(n, G.view()[1])
         assert_matching(G, matching)
         assert len(matching) == len(nx.max_weight_matching(nx.Graph(edges), maxcardinality=True))
         assert tutte(G)[1] == oracles.randomized_tutte_flag(n, edges, 0)
@@ -899,13 +1021,13 @@ class TestTutte:
     ])
     def test_augmenting_path_through_a_blossom(self, n, edges):
         G = Graph(n, edges)
-        matching = _maximum_matching(n, G.adjacency())
+        matching = _maximum_matching(n, G.view()[1])
         assert_matching(G, matching)
         assert 2 * len(matching) == n and tutte(G)[1] is True
 
     def test_petersen_has_a_perfect_matching(self):
         G = generate("petersen")
-        matching = _maximum_matching(10, G.adjacency())
+        matching = _maximum_matching(10, G.view()[1])
         assert_matching(G, matching)
         assert len(matching) == 5 and tutte(G)[1] is True
 
