@@ -400,6 +400,5 @@ def frm_convertible(model):
         for j, w in enumerate(row)
         if w
     }
-    loops = any(i == j for i, j in edges)
-    support = graphs.Graph(model.size, edges, allow_loops=loops)
+    support = graphs.Graph(model.size, edges, allow_loops=True)
     return graphs.is_bipartite(support)

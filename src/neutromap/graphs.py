@@ -1,12 +1,13 @@
 """Classical graphs: generators, invariants, colorings, counts.
 
-Vertices are indices 0..n-1.  Edges are unordered pairs; parallel edges and
-loops only appear when the corresponding flag is set (contraction creates
-them internally).  Each graph builds one neighbour view, incident edges and
-distinct neighbours in ascending order, that every routine here and in
-`ngraph` shares, so searches and certificates follow ascending neighbour
-order.  Components, cut vertices and bridges come from one
-lowpoint depth-first search (Hopcroft-Tarjan), one component per DFS tree.
+Vertices are indices 0..n-1.  Edges are unordered pairs; the constructor
+accepts parallel edges and loops only when asked to (contraction creates
+parallel edges), and a graph is simple when its edges hold neither.  Each
+graph builds one neighbour view, incident edges and distinct neighbours in
+ascending order, that every routine here and in `ngraph` shares, so
+searches and certificates follow ascending neighbour order.  Components,
+cut vertices and bridges come from one lowpoint depth-first search
+(Hopcroft-Tarjan), one component per DFS tree.
 An Euler tour is Hierholzer's, and the edges are connected exactly when it
 covers them all.  The line graph pairs the edges at each vertex.
 Spanning-tree counts come from Kirchhoff's matrix-tree theorem with the
@@ -29,27 +30,31 @@ from .core import NotFoundError, _Record, _Value, _check_guard, _echelon
 
 
 class Graph(_Value):
-    __slots__ = ("vertex_count", "edges", "allow_multi", "allow_loops", "_view")
+    __slots__ = ("vertex_count", "edges", "_simple", "_view")
 
     def __init__(self, vertex_count, edges=(), allow_multi=False, allow_loops=False):
+        """The two switches only choose what is accepted: loops, and
+        parallel edges.  Simplicity is read from the edges themselves."""
         if vertex_count < 0:
             raise ValueError("negative vertex count")
         norm = []
+        simple = True
         for u, v in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError("edge (%d, %d) out of range" % (u, v))
-            if u == v and not allow_loops:
-                raise ValueError("loop (%d, %d) on a loopless graph" % (u, v))
+            if u == v:
+                if not allow_loops:
+                    raise ValueError("loop (%d, %d) on a loopless graph" % (u, v))
+                simple = False
             norm.append((u, v) if u <= v else (v, u))
         norm.sort()
-        if not allow_multi:
-            for a, b in zip(norm, norm[1:]):
-                if a == b:
-                    raise ValueError("duplicate edge %r on a simple graph" % (a,))
+        # sorted, so a parallel pair sits side by side
+        repeat = next((a for a, b in zip(norm, norm[1:]) if a == b), None)
+        if repeat is not None and not allow_multi:
+            raise ValueError("duplicate edge %r on a simple graph" % (repeat,))
         self.vertex_count = vertex_count
         self.edges = tuple(norm)
-        self.allow_multi = allow_multi
-        self.allow_loops = allow_loops
+        self._simple = simple and repeat is None
         self._view = None
 
     @property
@@ -57,7 +62,8 @@ class Graph(_Value):
         return len(self.edges)
 
     def is_simple(self):
-        return not self.allow_multi and not self.allow_loops
+        """No loop and no parallel pair."""
+        return self._simple
 
     def view(self):
         """(incidence, neighbours), built on first use and shared: per vertex,
@@ -426,7 +432,7 @@ def edit(G, op, arg):
             for u, v in G.edges
             if u not in xs and v not in xs
         ]
-        return Graph(len(keep), edges, G.allow_multi, G.allow_loops)
+        return Graph(len(keep), edges, True, True)
     if op == "delete-edges":
         remaining = list(G.edges)
         for e in arg:
@@ -435,7 +441,7 @@ def edit(G, op, arg):
             if e not in remaining:
                 raise NotFoundError("edge %r not in graph" % (e,))
             remaining.remove(e)
-        return Graph(G.vertex_count, remaining, G.allow_multi, G.allow_loops)
+        return Graph(G.vertex_count, remaining, True, True)
     if op == "contract-edge":
         u, v = arg
         e = (u, v) if u <= v else (v, u)
@@ -600,22 +606,21 @@ def coloring(G):
     if any(u == v for u, v in G.edges):
         raise ValueError("coloring is undefined on graphs with loops")
     n = G.vertex_count
-    simple_edges = sorted(set(G.edges))
-
     _check_guard("vertex coloring", n, "vertices", COLORING_VERTEX_GUARD)
-    chi, vcolors = _chromatic(n, simple_edges)
+    chi, vcolors = _chromatic(G if G.is_simple() else Graph(n, set(G.edges)))
 
     _check_guard("edge coloring", len(G.edges), "edges", COLORING_EDGE_GUARD)
     chi_e, ecolors = _edge_chromatic(G)
     return ColoringReport(chi, tuple(vcolors), chi_e, tuple(ecolors))
 
 
-def _chromatic(n, edges):
+def _chromatic(H):
+    """Chromatic number and a least coloring of the simple graph H."""
+    n = H.vertex_count
     if n == 0:
         return 0, []
-    if not edges:
+    if not H.edges:
         return 1, [0] * n
-    H = Graph(n, edges)
     bip, cert = is_bipartite(H)
     if bip:
         colors = [0] * n

@@ -2,11 +2,12 @@
 
 Vertices 0..n_real-1 are real; the remaining indet count get labels N1..Nk.
 Every edge carries a tag: "R" (real) or "I" (indeterminate).  Most analyses
-delegate to the classical machinery on the underlying graph and layer the
-indeterminacy bookkeeping on top: components come from one search of the
-underlying graph, and the neutrosophic ones from one pass over the
-indeterminate vertices and I-edges.  Isomorphism is a backtracking search
-pruned by per-vertex kind and tag-degree signatures.
+delegate to the classical machinery on the underlying graph, which each
+`NeutroGraph` builds once and keeps, and layer the indeterminacy bookkeeping
+on top: components come from one search of the underlying graph, and the
+neutrosophic ones from one pass over the indeterminate vertices and
+I-edges.  Isomorphism is a backtracking search pruned by per-vertex kind and
+tag-degree signatures.
 """
 
 from collections import Counter
@@ -20,35 +21,28 @@ ISOMORPHISM_GUARD = 10  # vertices for the neutro_isomorphic backtracking
 
 
 class NeutroGraph(_Value):
-    __slots__ = ("n_real", "n_indet", "edges", "directed", "allow_multi", "allow_loops")
+    __slots__ = ("n_real", "n_indet", "edges", "directed", "_graph")
 
     def __init__(self, n_real, n_indet, edges=(), directed=False,
                  allow_multi=False, allow_loops=False):
+        """The switches choose what is accepted, as for `graphs.Graph`; an arc
+        and its reverse are not parallel."""
         if n_real < 0 or n_indet < 0:
             raise ValueError("negative vertex count")
-        n = n_real + n_indet
+        edges = tuple(edges)
+        self._graph = graphs.Graph(n_real + n_indet, [e[:2] for e in edges], True, allow_loops)
         norm = []
         for u, v, tag in edges:
             if tag not in _TAGS:
                 raise ValueError("edge tag %r is not R or I" % (tag,))
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError("edge (%d, %d) out of range" % (u, v))
-            if u == v and not allow_loops:
-                raise ValueError("loop (%d, %d) on a loopless graph" % (u, v))
-            if not directed and u > v:
-                u, v = v, u
-            norm.append((u, v, tag))
+            norm.append((u, v, tag) if directed or u <= v else (v, u, tag))
         norm.sort()
-        if not allow_multi:
-            pairs = [(u, v) for u, v, _t in norm]
-            if len(set(pairs)) != len(pairs):
-                raise ValueError("parallel edges on a simple neutro graph")
+        if not allow_multi and any(a[:2] == b[:2] for a, b in zip(norm, norm[1:])):
+            raise ValueError("parallel edges on a simple neutro graph")
         self.n_real = n_real
         self.n_indet = n_indet
         self.edges = tuple(norm)
         self.directed = directed
-        self.allow_multi = allow_multi
-        self.allow_loops = allow_loops
 
     @property
     def vertex_count(self):
@@ -57,9 +51,6 @@ class NeutroGraph(_Value):
     @property
     def m(self):
         return len(self.edges)
-
-    def is_simple(self):
-        return not self.allow_multi and not self.allow_loops
 
     def is_indet_vertex(self, v):
         return v >= self.n_real
@@ -71,13 +62,10 @@ class NeutroGraph(_Value):
         return "v%d" % (v + 1)
 
     def underlying(self):
-        """The plain graph left by forgetting tags, vertex kinds and arc directions."""
-        return graphs.Graph(
-            self.vertex_count,
-            [(u, v) for u, v, _t in self.edges],
-            self.allow_multi or self.directed,
-            self.allow_loops,
-        )
+        """The plain graph left by forgetting tags, vertex kinds and arc
+        directions: one object, built with the graph, so every analysis
+        shares its neighbour view."""
+        return self._graph
 
     def _key(self):
         return self.n_real, self.n_indet, self.edges, self.directed
@@ -154,7 +142,7 @@ def strip_indeterminates(G):
         for u, v, t in G.edges
         if u < G.n_real and v < G.n_real
     ]
-    return NeutroGraph(G.n_real, 0, edges, G.directed, G.allow_multi, G.allow_loops)
+    return NeutroGraph(G.n_real, 0, edges, G.directed, True, True)
 
 
 class NeutroDegreeReport(_Record):
@@ -200,13 +188,11 @@ def classify_walk(G, seq):
     n = G.vertex_count
     if any(not (0 <= v < n) for v in seq):
         return invalid
-    if G.allow_multi:
+    tag_of = {(u, v): t for u, v, t in G.edges}
+    if len(tag_of) < G.m:
         raise ValueError("vertex sequences are ambiguous on a multigraph")
-    tag_of = {}
-    for u, v, t in G.edges:
-        tag_of[(u, v)] = t
-        if not G.directed:
-            tag_of[(v, u)] = t
+    if not G.directed:
+        tag_of.update({(v, u): t for (u, v), t in tag_of.items()})
     steps = []
     for a, b in zip(seq, seq[1:]):
         if (a, b) not in tag_of:
@@ -314,15 +300,13 @@ def neutro_coloring(G):
         raise ValueError("coloring is undefined on graphs with loops")
     n = G.vertex_count
 
-    real_edges = sorted(
-        {
-            (u, v) if u < v else (v, u)
-            for u, v, t in G.edges
-            if t == "R" and not G.is_indet_vertex(u) and not G.is_indet_vertex(v)
-        }
-    )
+    real_edges = {
+        (u, v) if u < v else (v, u)
+        for u, v, t in G.edges
+        if t == "R" and not G.is_indet_vertex(u) and not G.is_indet_vertex(v)
+    }
     _check_guard("vertex coloring", G.n_real, "vertices", graphs.COLORING_VERTEX_GUARD)
-    chi, real_colors = graphs._chromatic(G.n_real, real_edges)
+    chi, real_colors = graphs._chromatic(graphs.Graph(G.n_real, real_edges))
     vertex_colors = tuple(
         real_colors[v] if v < G.n_real else 0 for v in range(n)
     )
@@ -337,7 +321,7 @@ def neutro_coloring(G):
             slots[i] = ((u, v) if u < v else (v, u), copies[u, v])
     real_sub = sorted(set(slots.values()))
     _check_guard("edge coloring", len(real_sub), "edges", graphs.COLORING_EDGE_GUARD)
-    sub = graphs.Graph(n, [e for e, _k in real_sub], allow_multi=G.allow_multi)
+    sub = graphs.Graph(n, [e for e, _k in real_sub], allow_multi=True)
     chi_e, sub_colors = graphs._edge_chromatic(sub)
     color_of = dict(zip(real_sub, sub_colors))
     edge_colors = tuple(color_of[slots[i]] if i in slots else 0 for i in range(G.m))

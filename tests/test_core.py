@@ -41,8 +41,14 @@ from neutromap.graphs import (
     Graph,
     MetricsReport,
     Polynomial,
+    chromatic_polynomial,
+    complement,
+    edit,
+    generate,
+    hamiltonian,
+    tutte,
 )
-from neutromap.ngraph import NeutroDegreeReport, NeutroGraph, NeutroTreeReport
+from neutromap.ngraph import NeutroDegreeReport, NeutroGraph, NeutroTreeReport, classify_walk
 from neutromap.relations import (
     FI,
     FONE,
@@ -417,8 +423,28 @@ class TestValueSemantics:
         ids=["Graph", "NeutroGraph"],
     )
     def test_graphs_ignore_the_multigraph_flags(self, make):
+        """Equal graphs answer alike: the flags only choose what the
+        constructor accepts, and simplicity is read from the edges."""
         plain, flagged = make(), make(allow_multi=True, allow_loops=True)
         assert plain == flagged and hash(plain) == hash(flagged)
+        if isinstance(plain, Graph):
+            assert flagged.is_simple() and plain.is_simple()
+            merged, path = edit(generate("path", 4), "contract-edge", (0, 1)), generate("path", 3)
+            assert merged == path
+            assert str(chromatic_polynomial(merged)) == "x^3 - 2x^2 + x"
+            for routine in (chromatic_polynomial, tutte, complement, hamiltonian):
+                assert routine(merged) == routine(path)
+            with pytest.raises(ValueError, match="duplicate edge"):
+                Graph(3, [(0, 1), (0, 1)])
+        else:
+            assert flagged.underlying().is_simple() and plain.underlying().is_simple()
+            arcs = NeutroGraph(3, 0, [(0, 1, "R"), (1, 2, "R"), (2, 0, "R")], directed=True)
+            assert arcs.underlying() is arcs.underlying()
+            assert hamiltonian(arcs.underlying())[1]
+            walk = NeutroGraph(3, 0, [(0, 1, "R"), (1, 2, "R")], allow_multi=True)
+            assert classify_walk(walk, [0, 1, 2]) == ("path", False, False)
+            with pytest.raises(ValueError, match="parallel edges"):
+                NeutroGraph(2, 0, [(0, 1, "R"), (1, 0, "I")])
 
     @pytest.mark.parametrize("name", sorted(RECORDS))
     def test_record_builds_by_keyword_and_stays_fixed(self, name):

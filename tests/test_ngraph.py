@@ -475,5 +475,4 @@ def relabelled(rng, G, flip):
         k = rng.randrange(len(edges))
         u, v, t = edges[k]
         edges[k] = (u, v, "R" if t == "I" else "I")
-    return NeutroGraph(G.n_real, G.n_indet, edges, G.directed,
-                       G.allow_multi, G.allow_loops)
+    return NeutroGraph(G.n_real, G.n_indet, edges, G.directed, True, True)
