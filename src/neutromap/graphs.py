@@ -607,7 +607,7 @@ def coloring(G):
         raise ValueError("coloring is undefined on graphs with loops")
     n = G.vertex_count
     _check_guard("vertex coloring", n, "vertices", COLORING_VERTEX_GUARD)
-    chi, vcolors = _chromatic(G if G.is_simple() else Graph(n, set(G.edges)))
+    chi, vcolors = _chromatic(G)
 
     _check_guard("edge coloring", len(G.edges), "edges", COLORING_EDGE_GUARD)
     chi_e, ecolors = _edge_chromatic(G)
@@ -615,7 +615,8 @@ def coloring(G):
 
 
 def _chromatic(H):
-    """Chromatic number and a least coloring of the simple graph H."""
+    """Chromatic number and a least coloring of a loopless graph H (parallel
+    edges are read once through the view's distinct neighbours)."""
     n = H.vertex_count
     if n == 0:
         return 0, []

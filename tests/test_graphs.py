@@ -694,6 +694,9 @@ class TestColoring:
         assert coloring(generate("cycle", 5)).chromatic_number == 3
         assert coloring(generate("complete", 4)).chromatic_number == 4
         assert coloring(generate("wheel", 5)).chromatic_number == 4
+        odd = generate("cycle", 5)
+        doubled = Graph(5, odd.edges + ((0, 1),), allow_multi=True)
+        assert coloring(doubled).vertex_colors == coloring(odd).vertex_colors
 
     def test_colorings_are_proper(self):
         G = generate("petersen")
