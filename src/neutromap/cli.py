@@ -373,23 +373,21 @@ def _cmd_rm_run(args, out):
 
     model = _load(args.model, args.from_csv, "relational-model")
     names = model.domain_names if args.side == "domain" else model.range_names
-    on = []
-    for name in _split_names(args.on):
-        side, idx = model.index(name)
-        if side != args.side:
-            raise ValueError(
-                "%s is on the %s side; run starts on the %s side"
-                % (name, side, args.side)
-            )
-        on.append(idx)
-    clamp = None
-    if args.clamp is not None:
-        clamp = set()
-        for name in _split_names(args.clamp):
+
+    def indices(text, message):
+        """Indices of the named nodes, which must be on the start side."""
+        found = []
+        for name in _split_names(text):
             side, idx = model.index(name)
             if side != args.side:
-                raise ValueError("clamp node %s is not on the %s side" % (name, args.side))
-            clamp.add(idx)
+                raise ValueError(message % {"name": name, "side": side, "start": args.side})
+            found.append(idx)
+        return found
+
+    on = indices(args.on, "%(name)s is on the %(side)s side; run starts on the %(start)s side")
+    clamp = None
+    if args.clamp is not None:
+        clamp = indices(args.clamp, "clamp node %(name)s is not on the %(start)s side")
     s0 = engines.basis_state(len(names), on)
     result = engines.rm_run(model, s0, args.side, clamp)
     out.put("domain", "domain", model.domain_names)

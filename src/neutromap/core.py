@@ -11,6 +11,10 @@ componentwise product (ac, (a+b)(c+d)): each row of the left operand and
 each column of the right one is scaled to integers by one lcm, the two
 components are multiplied with plain integer sums, and every entry is
 rescaled once into exact Fractions before it is unsplit.
+
+The paper's fixed value sets live here too, with their one entry check
+and one sign-label table: map weights in {-1, 0, 1, I}, and activations
+and neutrosophic adjacency entries in {0, 1, I}.
 """
 
 import math
@@ -190,17 +194,11 @@ class NeutroNumber:
         a, b = self.real, self.indet
         if b == 0:
             return _render_fraction(a)
+        # as `_i_coefficient` reads it, a coefficient of +-1 is its sign alone
+        tail = "I" if b == 1 else "-I" if b == -1 else _render_fraction(b) + "I"
         if a == 0:
-            if b == 1:
-                return "I"
-            if b == -1:
-                return "-I"
-            return _render_fraction(b) + "I"
-        if b > 0:
-            tail = "I" if b == 1 else _render_fraction(b) + "I"
-            return _render_fraction(a) + "+" + tail
-        tail = "I" if b == -1 else _render_fraction(-b) + "I"
-        return _render_fraction(a) + "-" + tail
+            return tail
+        return _render_fraction(a) + ("" if tail[0] == "-" else "+") + tail
 
     def __repr__(self):
         return "NeutroNumber('%s')" % (self,)
@@ -219,6 +217,27 @@ def _as_nn(x):
 ZERO = NeutroNumber(0)
 ONE = NeutroNumber(1)
 I = NeutroNumber(0, 1)
+MINUS_ONE = -ONE
+# the paper's value sets, real values ascending and then I: map weights, and
+# activations, which are also the entries of a neutrosophic adjacency matrix
+_WEIGHTS = (MINUS_ONE, ZERO, ONE, I)
+_ACTIVATIONS = (ZERO, ONE, I)
+# the label of a nonzero weight on a signed arc or path
+_SIGN_LABELS = {MINUS_ONE: "-1", ONE: "+1", I: "I"}
+
+
+def _entry_error(x, allowed, what, where=""):
+    """The error for a value x outside `allowed`, one of the value sets above."""
+    return ValueError("%s must be %s or I; found %s%s" % (
+        what, ", ".join(map(str, allowed[:-1])), x, where))
+
+
+def _check_entries(M, allowed, what):
+    """Raise `_entry_error` at the first entry of M, row by row, not in `allowed`."""
+    for i, row in enumerate(M, 1):
+        for j, x in enumerate(row, 1):
+            if x not in allowed:
+                raise _entry_error(x, allowed, what, " at (%d, %d)" % (i, j))
 
 
 def nn_add(x, y):
@@ -229,6 +248,13 @@ def nn_mul(x, y):
     return _as_nn(x) * _as_nn(y)
 
 
+def _i_coefficient(text):
+    """The coefficient written before I: nothing or a bare sign means +-1."""
+    if text in ("", "+", "-"):
+        return Fraction(-1 if text == "-" else 1)
+    return Fraction(text)
+
+
 def parse_number(token):
     """Parse a token like '2', '-I', '0.5I', '-1+4I', '1/3-2I'."""
     m = _TOKEN_RE.fullmatch(token.strip())
@@ -237,23 +263,8 @@ def parse_number(token):
     if m.group("ronly") is not None:
         return NeutroNumber(Fraction(m.group("ronly")))
     if m.group("ionly") is not None:
-        coef = m.group("ionly")
-        if coef in ("", "+"):
-            b = Fraction(1)
-        elif coef == "-":
-            b = Fraction(-1)
-        else:
-            b = Fraction(coef)
-        return NeutroNumber(0, b)
-    a = Fraction(m.group("ra"))
-    ib = m.group("ib")
-    if ib == "+":
-        b = Fraction(1)
-    elif ib == "-":
-        b = Fraction(-1)
-    else:
-        b = Fraction(ib)
-    return NeutroNumber(a, b)
+        return NeutroNumber(0, _i_coefficient(m.group("ionly")))
+    return NeutroNumber(Fraction(m.group("ra")), _i_coefficient(m.group("ib")))
 
 
 class SplitPair(_Record):

@@ -15,21 +15,24 @@ from operator import mul
 
 from .core import (
     I,
+    MINUS_ONE,
     NeutroMatrix,
     NotFoundError,
     ONE,
     ShapeError,
     ZERO,
+    _ACTIVATIONS,
     _Record,
+    _SIGN_LABELS,
     _Value,
+    _WEIGHTS,
     _as_nn,
+    _check_entries,
     _check_guard,
+    _entry_error,
     _split_integer_rows,
 )
 
-MINUS_ONE = -ONE
-_WEIGHTS = (ZERO, ONE, MINUS_ONE, I)
-_ACTIVATIONS = (ZERO, ONE, I)
 BALANCE_GUARD = 12  # concepts for the simple-path search in balance
 
 
@@ -55,13 +58,7 @@ def _check_weights(M, rows, cols, what):
             "%s weight matrix is %dx%d, expected %dx%d"
             % (what, M.rows, M.cols, rows, cols)
         )
-    for i in range(M.rows):
-        for j in range(M.cols):
-            if M.entry(i, j) not in _WEIGHTS:
-                raise ValueError(
-                    "%s weights must be -1, 0, 1 or I; found %s at (%d, %d)"
-                    % (what, M.entry(i, j), i + 1, j + 1)
-                )
+    _check_entries(M, _WEIGHTS, what + " weights")
     return M
 
 
@@ -149,7 +146,7 @@ def threshold(raw):
 def _as_activation(value):
     x = _as_nn(value)
     if x not in _ACTIVATIONS:
-        raise ValueError("state entries must be 0, 1 or I; found %s" % (x,))
+        raise _entry_error(x, _ACTIVATIONS, "state entries")
     return x
 
 
@@ -240,16 +237,6 @@ def degrade(model):
     return ConceptModel(model.concept_names, degraded, model.default_clamp)
 
 
-def _edge_sign(x):
-    if x == ONE:
-        return "+1"
-    if x == MINUS_ONE:
-        return "-1"
-    if x == I:
-        return "I"
-    return None
-
-
 def balance(model):
     """Search directed simple paths for same-endpoint sign conflicts.
 
@@ -261,16 +248,17 @@ def balance(model):
     n = model.size
     _check_guard("balance", n, "concepts", BALANCE_GUARD)
     out = [
-        [(j, s) for j, w in enumerate(row) if j != i and (s := _edge_sign(w))]
+        [(j, _SIGN_LABELS[w]) for j, w in enumerate(row) if j != i and w]
         for i, row in enumerate(model.weights)
     ]
 
     witness = None
+    plus, minus, indet = _SIGN_LABELS[ONE], _SIGN_LABELS[MINUS_ONE], _SIGN_LABELS[I]
 
     def compose(s, t):
-        if s == "I" or t == "I":
-            return "I"
-        return "+1" if s == t else "-1"
+        if s == indet or t == indet:
+            return indet
+        return plus if s == t else minus
 
     for u in range(n):
         found = {}  # v -> {sign: path}

@@ -12,8 +12,8 @@ layer, so a command loads only the layer of the kinds it reads.
 import sys
 from collections import namedtuple
 
-from .core import (ParseError, SizeLimitError, ZERO, I, _Record, _check_guard,
-                   matrix_from_lines, meaningful_lines, render_matrix)
+from .core import (ParseError, SizeLimitError, ZERO, I, _Record, _SIGN_LABELS,
+                   _check_guard, matrix_from_lines, meaningful_lines, render_matrix)
 
 MODEL_HEADER = "neutromap-model 1"
 ORDER_GUARD = 10 ** 6  # vertices a graph or neutro-graph file may declare
@@ -275,9 +275,6 @@ def _dot_neutro_graph(G):
     return lines
 
 
-_SIGN_LABELS = {1: "+1", -1: "-1"}
-
-
 def _arc(src, dst, label, dotted):
     style = "style=dotted, " if dotted else ""
     return '  %s -> %s [%slabel="%s"];' % (_q(src), _q(dst), style, label)
@@ -286,7 +283,7 @@ def _arc(src, dst, label, dotted):
 def _weight_arcs(rows, cols, M):
     """One arc per nonzero weight: I dotted, signs labeled +1/-1."""
     return [
-        _arc(x, y, "I" if w == I else _SIGN_LABELS[w.real], w == I)
+        _arc(x, y, _SIGN_LABELS[w], w == I)
         for i, x in enumerate(rows)
         for j, y in enumerate(cols)
         if (w := M.entry(i, j)) != ZERO

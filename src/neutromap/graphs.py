@@ -450,21 +450,16 @@ def edit(G, op, arg):
             raise NotFoundError("edge %r not in graph" % (e,))
         if u == v:
             raise ValueError("cannot contract a loop")
-        return Graph(G.vertex_count - 1, _contract(G.edges, u, v), allow_multi=True)
+        return Graph(G.vertex_count - 1, _contract(G.edges, u, v), True, True)
     raise ValueError("unknown edit op %r" % (op,))
 
 
 def _contract(edges, u, v):
-    """Merge v into u (u < v), renumber above v; edges that become loops go."""
-    out = []
-    for a, b in edges:
-        a = u if a == v else a
-        b = u if b == v else b
-        if a != b:
-            a = a if a < v else a - 1
-            b = b if b < v else b - 1
-            out.append((a, b) if a <= b else (b, a))
-    return out
+    """Merge v into u (u < v), renumber above v; the edges joining u and v go."""
+    def image(x):
+        return u if x == v else x - (x > v)
+
+    return [(image(a), image(b)) for a, b in edges if (a, b) != (u, v)]
 
 
 def eulerian(G):

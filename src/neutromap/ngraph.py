@@ -13,7 +13,8 @@ tag-degree signatures.
 from collections import Counter
 
 from . import graphs
-from .core import I, NeutroMatrix, ShapeError, ZERO, ONE, _Record, _Value, _check_guard
+from .core import (I, NeutroMatrix, ShapeError, ZERO, ONE, _ACTIVATIONS, _Record, _Value,
+                   _check_entries, _check_guard)
 
 
 _TAGS = ("R", "I")
@@ -107,13 +108,7 @@ def from_adjacency(M, indet_vertices=0, directed=False):
         raise ShapeError("adjacency matrix must be square")
     if not (0 <= indet_vertices <= M.rows):
         raise ValueError("indeterminate vertex count out of range")
-    for i in range(M.rows):
-        for j in range(M.cols):
-            if M.entry(i, j) not in (ZERO, ONE, I):
-                raise ValueError(
-                    "adjacency entries must be 0, 1 or I; found %s at (%d, %d)"
-                    % (M.entry(i, j), i + 1, j + 1)
-                )
+    _check_entries(M, _ACTIVATIONS, "adjacency entries")
     edges = []
     for i in range(M.rows):
         if M.entry(i, i) != ZERO:

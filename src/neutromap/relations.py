@@ -7,23 +7,24 @@ through min, and max picks the larger magnitude with ties broken toward
 the real value.  Property predicates are three-valued: a threshold
 comparison against an indeterminate entry makes that clause indeterminate.
 
-Composition, closure, transitivity and joins run on integer rank codes
-(`_rank_codes`), whose integer order is lattice_max's order and whose
-bitwise AND is lattice_min, so a max-min product is `max` over `&` of
-Python integers.  Grades are encoded once and results decoded once, back
-to the exact Fraction-valued grades.
+Composition, closure, transitivity, joins and `dom_ran_height` run on
+integer rank codes (`_rank_codes`), whose integer order is lattice_max's
+order and whose bitwise AND is lattice_min, so a max-min product is `max`
+over `&` of Python integers and a row's lattice_max is its largest code.
+Grades are encoded once and results decoded once, back to the exact
+Fraction-valued grades.
 """
 
 from fractions import Fraction
 from operator import and_
 
 from .core import (
+    NeutroNumber,
     NotFoundError,
     ParseError,
     ShapeError,
     _Record,
     _Value,
-    _render_fraction,
     parse_number,
 )
 
@@ -103,11 +104,8 @@ class FuzzyNeutroValue(_Value):
         return self.magnitude, self.indeterminate
 
     def __str__(self):
-        if not self.indeterminate:
-            return _render_fraction(self.magnitude)
-        if self.magnitude == 1:
-            return "I"
-        return _render_fraction(self.magnitude) + "I"
+        mag = self.magnitude
+        return str(NeutroNumber(0, mag) if self.indeterminate else NeutroNumber(mag))
 
     def __repr__(self):
         return "FuzzyNeutroValue(%s)" % (self,)
@@ -139,10 +137,14 @@ class FuzzyNeutroRelation(_Value):
         col_labels = tuple(col_labels)
         if not row_labels or not col_labels:
             raise ShapeError("relation needs at least one row and one column")
-        if len(set(row_labels)) != len(row_labels):
-            raise ValueError("duplicate row labels")
-        if len(set(col_labels)) != len(col_labels):
-            raise ValueError("duplicate column labels")
+        for what, labels in (("row", row_labels), ("column", col_labels)):
+            if len(set(labels)) != len(labels):
+                raise ValueError("duplicate %s labels" % (what,))
+            for label in labels:
+                # one unpadded line, no separator, not a comment: a model file gives it back
+                if (not isinstance(label, str) or label.splitlines() != [label]
+                        or label != label.strip() or "," in label or label.startswith("#")):
+                    raise ValueError("bad %s label %r" % (what, label))
         rows = tuple(tuple(row) for row in values)
         if len(rows) != len(row_labels) or any(
             len(r) != len(col_labels) for r in rows
@@ -211,16 +213,9 @@ class DomRanHeight(_Record):
 
 def dom_ran_height(R):
     """Row-wise, column-wise and global lattice_max."""
-    def fold(vals):
-        acc = FZERO
-        for v in vals:
-            acc = lattice_max(acc, v)
-        return acc
-
-    m, n = R.shape
-    dom = tuple(fold(R.values[i]) for i in range(m))
-    ran = tuple(fold(R.values[i][j] for i in range(m)) for j in range(n))
-    return DomRanHeight(dom, ran, fold(dom))
+    (codes,), decode = _rank_codes(R)
+    dom, ran = _decoded([map(max, codes), map(max, zip(*codes))], decode)
+    return DomRanHeight(tuple(dom), tuple(ran), decode[max(map(max, codes))])
 
 
 def inverse(R):

@@ -114,7 +114,10 @@ class TestModelFiles:
     @settings(deadline=None)
     @given(st.data())
     def test_relation_round_trips(self, data):
-        rows, cols = data.draw(name_lists(1, 4)), data.draw(name_lists(1, 4))
+        # labels may be what a model file line cannot carry back: those raise
+        label = st.text(alphabet="abcxyzAB019_- ,#\n", max_size=4)
+        rows = data.draw(st.lists(label, min_size=1, max_size=4, unique=True))
+        cols = data.draw(st.lists(label, min_size=1, max_size=4, unique=True))
         grade = st.builds(
             FuzzyNeutroValue,
             st.fractions(0, 1, max_denominator=12),
@@ -122,7 +125,12 @@ class TestModelFiles:
         )
         values = data.draw(st.lists(st.lists(grade, min_size=len(cols), max_size=len(cols)),
                                     min_size=len(rows), max_size=len(rows)))
-        R = FuzzyNeutroRelation(rows, cols, values)
+        try:
+            R = FuzzyNeutroRelation(rows, cols, values)
+        except ValueError:
+            assert any(x.splitlines() != [x] or x != x.strip() or "," in x
+                       or x.startswith("#") for x in rows + cols)
+            return
         assert parse_model(serialize_model(model_for(R))).payload == R
 
     def test_empty_clamp_is_a_bare_clamp_line(self, capsys, tmp_path):

@@ -81,7 +81,9 @@ class TestScalar:
         assert NeutroNumber("7") == nn(7)
 
     @pytest.mark.parametrize(
-        "token", ["0", "I", "2I", "-1+4I", "2-6I", "-I", "0.5", "1/3", "0.3I"]
+        "token",
+        ["0", "I", "2I", "-1+4I", "2-6I", "-I", "0.5", "1/3", "0.3I",
+         "1+I", "1-I", "-2+I", "0.5-I"],
     )
     def test_token_round_trip(self, token):
         assert str(parse_number(token)) == token

@@ -90,8 +90,9 @@ class TestStates:
         assert render_state(s) == "1 I 0 1 1 0 0"
 
     def test_only_activations_allowed(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             parse_state("1 2 0")
+        assert str(exc.value) == "state entries must be 0, 1 or I; found 2"
         with pytest.raises(ValueError):
             parse_state("0.5")
         with pytest.raises(ValueError):
@@ -112,8 +113,9 @@ class TestModelValidation:
             ConceptModel(["A", "A"], NeutroMatrix([[0, 0], [0, 0]]))
         with pytest.raises(ValueError):
             ConceptModel(["A", "B C"], NeutroMatrix([[0, 0], [0, 0]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             ConceptModel(["A", "B"], NeutroMatrix([[0, 2], [0, 0]]))
+        assert str(exc.value) == "concept model weights must be -1, 0, 1 or I; found 2 at (1, 2)"
         with pytest.raises(ValueError):
             ConceptModel(
                 ["A", "B"], NeutroMatrix([[0, 0], [0, 0]]), default_clamp=[2]

@@ -385,6 +385,11 @@ class TestCombineEditLine:
         assert G.vertex_count == 2 and G.edges == ((0, 1), (0, 1))
         with pytest.raises(NotFoundError):
             edit(generate("path", 3), "contract-edge", (0, 2))
+        # only the contracted edge goes: a loop elsewhere stays
+        looped = Graph(3, [(0, 0), (0, 1), (1, 2)], allow_loops=True)
+        assert edit(looped, "contract-edge", (1, 2)).edges == ((0, 0), (0, 1))
+        with pytest.raises(ValueError, match="cannot contract a loop"):
+            edit(looped, "contract-edge", (0, 0))
 
 
 class TestEulerian:

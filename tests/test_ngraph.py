@@ -90,6 +90,9 @@ class TestAdjacency:
         M = NeutroMatrix([[NeutroNumber(2)]])
         with pytest.raises(ValueError):
             from_adjacency(M)
+        with pytest.raises(ValueError) as exc:
+            from_adjacency(NeutroMatrix([[0, 1], ["-I", 0]]), directed=True)
+        assert str(exc.value) == "adjacency entries must be 0, 1 or I; found -I at (2, 1)"
 
     def test_directed_diagonal_refused(self):
         # the neutro-graph model format has no way to carry a loop
@@ -166,6 +169,11 @@ class TestClassifyWalk:
         G = NeutroGraph(2, 1, [(0, 1, "R"), (1, 2, "R")])
         assert classify_walk(G, [0, 1, 2]) == ("path", True, False)
         assert classify_walk(G, [0, 1]) == ("path", False, False)
+
+    def test_edge_neutro_graph_uses_edge_clause(self):
+        G = NeutroGraph(3, 0, [(0, 1, "I"), (1, 2, "R")])
+        assert classify_walk(G, [0, 1, 2]) == ("path", True, False)
+        assert classify_walk(G, [1, 2]) == ("path", False, False)
 
     def test_plain_graph_never_neutrosophic(self):
         G = NeutroGraph(3, 0, [(0, 1, "R"), (1, 2, "R")])

@@ -1,6 +1,7 @@
 """Unit tests for fuzzy/neutrosophic values and relations."""
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -172,6 +173,25 @@ class TestRelation:
         assert str(r.height) == goldens.SAGITTAL_HEIGHT
         assert str(r.domain[0]) == goldens.SAGITTAL_DOM_X1
         assert [str(v) for v in r.range] == ["1", "I", "0.5", "0.7"]
+
+    @given(st.data())
+    def test_dom_ran_height_folds_lattice_max(self, data):
+        # few magnitudes, so real and indeterminate grades of one size often tie
+        grade = st.builds(
+            FuzzyNeutroValue, st.sampled_from([0, Fraction(1, 3), Fraction(1, 2), 1]),
+            st.booleans(),
+        )
+        m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        grid = data.draw(st.lists(st.lists(grade, min_size=n, max_size=n),
+                                  min_size=m, max_size=m))
+
+        def fold(values):
+            return reduce(lattice_max, values, FZERO)
+
+        r = dom_ran_height(FuzzyNeutroRelation.from_tokens(grid))
+        assert r.domain == tuple(fold(row) for row in grid)
+        assert r.range == tuple(fold(col) for col in zip(*grid))
+        assert r.height == fold(v for row in grid for v in row)
 
     def test_inverse_is_an_involution(self):
         S = sagittal()
