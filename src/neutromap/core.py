@@ -69,6 +69,16 @@ def _render_fraction(f):
     return "%d/%d" % (f.numerator, f.denominator)
 
 
+def _render_number(a, b):
+    """a+bI as text; as `_i_coefficient` reads it, a coefficient of +-1 is its sign alone."""
+    if b == 0:
+        return _render_fraction(a)
+    tail = "I" if b == 1 else "-I" if b == -1 else _render_fraction(b) + "I"
+    if a == 0:
+        return tail
+    return _render_fraction(a) + ("" if tail[0] == "-" else "+") + tail
+
+
 def _coerce_fraction(x):
     if isinstance(x, Fraction):
         return x
@@ -191,14 +201,7 @@ class NeutroNumber:
         return bool(self.real or self.indet)
 
     def __str__(self):
-        a, b = self.real, self.indet
-        if b == 0:
-            return _render_fraction(a)
-        # as `_i_coefficient` reads it, a coefficient of +-1 is its sign alone
-        tail = "I" if b == 1 else "-I" if b == -1 else _render_fraction(b) + "I"
-        if a == 0:
-            return tail
-        return _render_fraction(a) + ("" if tail[0] == "-" else "+") + tail
+        return _render_number(self.real, self.indet)
 
     def __repr__(self):
         return "NeutroNumber('%s')" % (self,)

@@ -247,7 +247,7 @@ def _write_relational_body(model):
 # --------------------------------------------------------------- DOT writers
 
 def _q(name):
-    return '"%s"' % (name,)
+    return '"%s"' % name.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def _dot_graph(G):

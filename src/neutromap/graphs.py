@@ -12,15 +12,15 @@ An Euler tour is Hierholzer's, and the edges are connected exactly when it
 covers them all.  The line graph pairs the edges at each vertex.
 Spanning-tree counts come from Kirchhoff's matrix-tree theorem with the
 fraction-free elimination of `core`, the perfect-matching decision that
-accompanies the Tutte matrix from Edmonds' blossom algorithm, and girth
-from breadth-first searches that stop early (Itai-Rodeh).  Chromatic
-polynomials peel simplicial vertices and branch by deletion-contraction
-over memoised bitmask states.  The Bondy-Chvatal closure is degree-gated,
+accompanies the Tutte matrix from Edmonds' blossom algorithm, and girth from
+breadth-first searches that stop early (Itai-Rodeh).  Chromatic polynomials
+branch by deletion-contraction over memoised bitmask states, each stripped of
+simplicial vertices in one pass.  The Bondy-Chvatal closure is degree-gated,
 and a vertex of degree below 2 answers "not Hamiltonian" without a search.
 The circumference and Hamiltonian cycles share one iterative search over
 (vertex set, end) states; chromatic number and index run desk-scale
-backtracking.  Every exponential search sits behind a size guard, and so
-do the edge count of a generated graph and the n x n distance table.
+backtracking.  Every exponential search sits behind a size guard, and so do
+the edge count of a generated graph and the n x n distance table.
 """
 
 from itertools import combinations, starmap, zip_longest
@@ -696,6 +696,15 @@ def _propagation_order(m, eadj):
     return order
 
 
+def _product(a, b):
+    """Coefficients of the product of two ascending coefficient lists."""
+    b, a = sorted((a, b), key=len)
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        out[j:j + len(a)] = map(add, out[j:j + len(a)], map(y.__mul__, a))
+    return out
+
+
 class Polynomial(_Value):
     """Integer polynomial, coefficients ascending from the constant term."""
 
@@ -727,13 +736,7 @@ class Polynomial(_Value):
         return self._termwise(sub, other)
 
     def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return Polynomial(out)
+        return Polynomial(_product(self.coeffs, other.coeffs))
 
     def _key(self):
         return self.coeffs
@@ -745,23 +748,14 @@ class Polynomial(_Value):
         return acc
 
     def __str__(self):
-        if all(c == 0 for c in self.coeffs):
-            return "0"
-        parts = []
-        for power in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[power]
-            if c == 0:
-                continue
-            if power == 0:
-                body = str(abs(c))
-            else:
-                var = "x" if power == 1 else "x^%d" % power
-                body = var if abs(c) == 1 else "%d%s" % (abs(c), var)
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
+        terms = []
+        for power, c in reversed(list(enumerate(self.coeffs))):
+            if c:
+                var = "" if power == 0 else "x" if power == 1 else "x^%d" % power
+                coeff = "" if abs(c) == 1 and var else str(abs(c))
+                terms.append(("- " if c < 0 else "+ ") + coeff + var)
+        text = " ".join(terms) or "+ 0"
+        return ("" if text[0] == "+" else "-") + text[2:]  # a leading sign is "-" or none
 
     def __repr__(self):
         return "Polynomial(%s)" % (self,)
@@ -777,50 +771,49 @@ def chromatic_polynomial(G):
     follow ascending degree, so the first branch is at a minimum-degree
     vertex.  The branches run on an explicit stack over a memo of states,
     so no recursion grows with the graph; CHROMATIC_GUARD bounds the memo.
+    Per state: one `_branch` (two peels) and one subtraction of coefficient lists.
     """
     if not G.is_simple():
         raise ValueError("chromatic polynomial is computed for simple graphs")
-    n = G.vertex_count
-    deg = G.degrees()
-    label = {v: i for i, v in enumerate(sorted(range(n), key=deg.__getitem__))}
-    masks = [0] * n
-    for u, v in G.edges:
-        masks[label[u]] |= 1 << label[v]
-        masks[label[v]] |= 1 << label[u]
-    peeled, root = _peel(masks, (1 << n) - 1, 0)
-    memo = {(): Polynomial([1])}
-    branches = {}
-    stack = [root]
+    nbrs = G.view()[1]
+    order = sorted(range(G.vertex_count), key=lambda v: len(nbrs[v]))
+    label = {v: i for i, v in enumerate(order)}
+    masks = [sum(1 << label[x] for x in nbrs[v]) for v in order]
+    peeled, root = _peel(masks, (1 << len(masks)) - 1, [])
+    memo, branches, stack = {(): (1,)}, {}, [root]
     while stack:
         state = stack[-1]
         if state in memo:
             stack.pop()
         elif state in branches:
-            (p_del, deleted), (p_con, contracted) = branches.pop(state)
-            memo[state] = _times(p_del, memo[deleted]) - _times(p_con, memo[contracted])
+            p, q = (_times(factors, memo[kid]) for factors, kid in branches.pop(state))
+            memo[state] = tuple(map(sub, p, (*q, 0)))  # G / uw has one vertex fewer
             stack.pop()
         else:
             _check_guard("chromatic polynomial", len(memo) + len(branches),
                          "states", CHROMATIC_GUARD)
             branches[state] = kids = _branch(state)
-            stack.extend(kid for _degrees, kid in kids)
-    return _times(peeled, memo[root])
+            stack += kids[0][1], kids[1][1]
+    return Polynomial(_times(peeled, memo[root]))
 
 
 def _times(degrees, p):
-    """p * prod (lambda - d)^c over the peeled degree counts {d: c}."""
+    """Coefficients of p * prod (lambda - d)^c over the peeled degree counts {d: c}."""
     for d, c in degrees.items():
+        if c == 1:  # the common case: one shift and subtract
+            p = [x - d * y for x, y in zip((0, *p), (*p, 0))]
+            continue
         # lambda^j has C(c, j) * (-d)^(c-j), built downwards in j
         coeffs = [1]
         for j in range(c, 0, -1):
             coeffs.append(coeffs[-1] * -d * j // (c - j + 1))
-        p = p * Polynomial(coeffs[::-1])
+        p = _product(p, coeffs[::-1])
     return p
 
 
 def _branch(state):
     """Peeled G - uw and G / uw for u = 0 and the neighbour w of u with the
-    fewest common neighbours.
+    fewest common neighbours, the lowest on a tie.
 
     Branching stays on one vertex until it is peeled: moving to another
     vertex at each branch multiplies the states of dense graphs (K10,10
@@ -828,55 +821,59 @@ def _branch(state):
     afresh each time).  `state` has no simplicial vertex, so only u and w
     can become simplicial in G - uw, and only u and its neighbours in G / uw.
     """
-    u = 0
-    w = min(_bits(state[u]), key=lambda x: (state[x] & state[u]).bit_count())
+    rest, fewest = state[0], len(state)
+    while rest and fewest:
+        x = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        common = (state[x] & state[0]).bit_count()
+        if common < fewest:
+            fewest, w = common, x
+    bw = 1 << w
     deleted = list(state)
-    deleted[u] ^= 1 << w
-    deleted[w] ^= 1 << u
-    contracted = list(deleted)
-    contracted[u] |= contracted[w]
-    for x in _bits(contracted[w]):
-        contracted[x] = contracted[x] ^ (1 << w) | (1 << u)
-    return (_peel(deleted, (1 << u) | (1 << w), 0),
-            _peel(contracted, contracted[u] | (1 << u), 1 << w))
+    deleted[0] ^= bw
+    deleted[w] ^= 1
+    # the neighbours of w trade it for u
+    contracted = [m ^ bw | 1 if m & bw else m for m in deleted]
+    contracted[0] |= deleted[w]
+    return (_peel(deleted, 1 | bw, []),
+            _peel(contracted, contracted[0] | 1, [w]))
 
 
-def _peel(masks, dirty, gone):
+def _peel(masks, dirty, drops):
     """Strip simplicial vertices: ({degree d: count}, compacted state).
 
-    Only the vertices in the bitmask `dirty`, and the neighbours of those
-    stripped, are tested.  Vertices in `gone` leave without a factor.
-    `masks` is consumed.
+    One pass over the bitmask `dirty`, which gains the neighbours of each
+    vertex stripped, the only ones that can have become simplicial.  The
+    labels stripped and those in `drops` (gone without a factor) leave the
+    surviving masks in one squeeze at the end; `masks` and `drops` are consumed.
     """
-    removed = gone
-    degrees = {}
-    work = list(_bits(dirty))
-    while work:
-        v = work.pop()
-        nb = masks[v]
-        if not removed >> v & 1 and (
-            nb & (nb - 1) == 0  # no neighbour or one
-            or all(nb & ~masks[u] == 1 << u for u in _bits(nb))
-        ):
+    alive, degrees = -1, {}
+    while dirty:
+        v = dirty.bit_length() - 1
+        dirty ^= 1 << v
+        nb = rest = masks[v] & alive
+        # simplicial: each neighbour but the last is adjacent to all the others
+        while rest & (rest - 1):
+            u = rest.bit_length() - 1
+            if nb & ~masks[u] != 1 << u:
+                break
+            rest ^= 1 << u
+        else:
             d = nb.bit_count()
             degrees[d] = degrees.get(d, 0) + 1
-            removed |= 1 << v
-            for u in _bits(nb):
-                masks[u] ^= 1 << v
-                work.append(u)
-    masks = [m for v, m in enumerate(masks) if not removed >> v & 1]
-    if masks:
-        for r in sorted(_bits(removed), reverse=True):
-            low = (1 << r) - 1
-            masks = [m & low | m >> 1 & ~low for m in masks]
+            drops.append(v)
+            alive ^= 1 << v
+            dirty |= nb
+    drops.sort(reverse=True)
+    for v in drops:
+        del masks[v]
+    if drops:
+        for i, m in enumerate(masks):
+            m &= alive
+            for v in drops:
+                m -= m >> (v + 1) << v  # each label above v moves down by one
+            masks[i] = m
     return degrees, tuple(masks)
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def spanning_tree_count(G):

@@ -19,12 +19,12 @@ from fractions import Fraction
 from operator import and_
 
 from .core import (
-    NeutroNumber,
     NotFoundError,
     ParseError,
     ShapeError,
     _Record,
     _Value,
+    _render_number,
     parse_number,
 )
 
@@ -105,7 +105,7 @@ class FuzzyNeutroValue(_Value):
 
     def __str__(self):
         mag = self.magnitude
-        return str(NeutroNumber(0, mag) if self.indeterminate else NeutroNumber(mag))
+        return _render_number(0, mag) if self.indeterminate else _render_number(mag, 0)
 
     def __repr__(self):
         return "FuzzyNeutroValue(%s)" % (self,)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from neutromap.cli import main
 from neutromap.core import I, NeutroMatrix, ONE, ZERO
 from neutromap.engines import ConceptModel, RelationalModel
-from neutromap.formats import model_for, parse_model, serialize_model
+from neutromap.formats import export_dot, model_for, parse_model, serialize_model
 from neutromap.graphs import Graph
 from neutromap.ngraph import from_adjacency
 from neutromap.relations import FuzzyNeutroRelation, FuzzyNeutroValue
@@ -608,6 +608,10 @@ class TestExportDot:
         _, dot, _ = run(capsys, "export", "dot", fx("fig-2.2.3.model"))
         assert dot.startswith("graph G {")
         assert dot.rstrip().endswith("}")
+
+    def test_names_are_escaped(self):
+        dot = export_dot(ConceptModel(['a"b', "c\\"], [[0, 1], [0, 0]]))
+        assert '  "a\\"b" -> "c\\\\" [label="+1"];' in dot.splitlines()
 
 
 # the commands that read each model kind, with `-` for the model on stdin;

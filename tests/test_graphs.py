@@ -837,6 +837,23 @@ class TestPolynomial:
             chromatic_polynomial(generate("complete-bipartite", 7, 7))
         assert chromatic_polynomial(generate("complete", 30)).degree == 30
 
+    @pytest.mark.parametrize("family, states", [
+        (("complete-bipartite", 10, 10), 2121),
+        (("complete-bipartite", 6, 7), 320),
+        (("petersen",), 73),
+        (("wheel", 12), 9),
+    ])
+    def test_state_counts_are_pinned(self, monkeypatch, family, states):
+        # the memo, and so the point where the guard trips, is part of the contract
+        G = generate(*family)
+        monkeypatch.setattr(graphs, "CHROMATIC_GUARD", states - 1)
+        with pytest.raises(SizeLimitError, match="^chromatic polynomial guard: "
+                           "%d states exceeds %d$" % (states, states - 1)):
+            chromatic_polynomial(G)
+        monkeypatch.setattr(graphs, "CHROMATIC_GUARD", states)
+        p = chromatic_polynomial(G)
+        assert p.coeffs == oracles.deletion_contraction_chromatic(G.vertex_count, G.edges)
+
 
 def stack_depth():
     """Frames on the caller's stack, the caller's own included."""

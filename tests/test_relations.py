@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neutromap.core import NotFoundError, ParseError, ShapeError
+from neutromap.core import NeutroNumber, NotFoundError, ParseError, ShapeError
 from neutromap.relations import (
     FI,
     FONE,
@@ -97,6 +97,11 @@ class TestValue:
             FuzzyNeutroValue.parse("x")
         with pytest.raises(ValueError):
             FuzzyNeutroValue.parse("1.5")
+
+    def test_str_follows_neutro_number(self):
+        for mag in (0, 1, Fraction(1, 3), Fraction(1, 4), Fraction(7, 10)):
+            assert str(FuzzyNeutroValue(mag)) == str(NeutroNumber(mag))
+            assert str(FuzzyNeutroValue(mag, True)) == str(NeutroNumber(0, mag))
 
     def test_zero_absorbs_indeterminacy(self):
         assert FuzzyNeutroValue(0, True) == FZERO
