@@ -701,7 +701,7 @@ def _product(a, b):
     b, a = sorted((a, b), key=len)
     out = [0] * (len(a) + len(b) - 1)
     for j, y in enumerate(b):
-        out[j:j + len(a)] = map(add, out[j:j + len(a)], map(y.__mul__, a))
+        out[j:j + len(a)] = map(add, out[j:j + len(a)], [x * y for x in a])
     return out
 
 
@@ -748,14 +748,23 @@ class Polynomial(_Value):
         return acc
 
     def __str__(self):
-        terms = []
-        for power, c in reversed(list(enumerate(self.coeffs))):
-            if c:
-                var = "" if power == 0 else "x" if power == 1 else "x^%d" % power
-                coeff = "" if abs(c) == 1 and var else str(abs(c))
-                terms.append(("- " if c < 0 else "+ ") + coeff + var)
-        text = " ".join(terms) or "+ 0"
-        return ("" if text[0] == "+" else "-") + text[2:]  # a leading sign is "-" or none
+        if all(c == 0 for c in self.coeffs):
+            return "0"
+        parts = []
+        for power in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[power]
+            if c == 0:
+                continue
+            if power == 0:
+                body = str(abs(c))
+            else:
+                var = "x" if power == 1 else "x^%d" % power
+                body = var if abs(c) == 1 else "%d%s" % (abs(c), var)
+            if not parts:
+                parts.append(("-" if c < 0 else "") + body)
+            else:
+                parts.append(("- " if c < 0 else "+ ") + body)
+        return " ".join(parts)
 
     def __repr__(self):
         return "Polynomial(%s)" % (self,)
@@ -800,7 +809,7 @@ def chromatic_polynomial(G):
 def _times(degrees, p):
     """Coefficients of p * prod (lambda - d)^c over the peeled degree counts {d: c}."""
     for d, c in degrees.items():
-        if c == 1:  # the common case: one shift and subtract
+        if c == 1:  # the common case; a shift and subtract beats _product here
             p = [x - d * y for x, y in zip((0, *p), (*p, 0))]
             continue
         # lambda^j has C(c, j) * (-d)^(c-j), built downwards in j

@@ -6,6 +6,7 @@ import os
 import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -748,6 +749,11 @@ class TestPolynomial:
         p = Polynomial([1, 2]) * Polynomial([-1, 1])  # (2x+1)(x-1)
         assert [p(k) for k in range(4)] == [-1, 0, 5, 14]
         assert p.degree == 2
+
+    def test_mul_takes_fraction_coefficients_on_either_side(self):
+        half = Fraction(1, 2)
+        assert Polynomial([2]) * Polynomial([half]) == Polynomial([1])
+        assert Polynomial([half, 1]) * Polynomial([2, 4, 6]) == Polynomial([1, 4, 7, 6])
 
     def test_chromatic_k3(self):
         lam = Polynomial.monomial(1)
