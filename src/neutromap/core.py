@@ -10,7 +10,9 @@ Products use the same split, since it turns (a+bI)(c+dI) into the
 componentwise product (ac, (a+b)(c+d)): each row of the left operand and
 each column of the right one is scaled to integers by one lcm, the two
 components are multiplied with plain integer sums, and every entry is
-rescaled once into exact Fractions before it is unsplit.
+rescaled once into exact Fractions before it is unsplit.  A matrix builds
+the split of its rows and of its columns once, on first use, and shares it
+with every product, rank and map run that reads it.
 
 The paper's fixed value sets live here too, with their one entry check
 and one sign-label table: map weights in {-1, 0, 1, I}, and activations
@@ -288,7 +290,8 @@ def unsplit(p):
 class NeutroMatrix(_Value):
     """Dense rectangular matrix of NeutroNumbers (at least 1x1)."""
 
-    __slots__ = ("rows", "cols", "_rows")
+    # the integer splits of the rows and of the columns: None until first use
+    __slots__ = ("rows", "cols", "_rows", "_row_split", "_col_split")
 
     def __init__(self, rows):
         data = tuple(tuple(_as_nn(e) for e in row) for row in rows)
@@ -300,6 +303,7 @@ class NeutroMatrix(_Value):
         self.rows = len(data)
         self.cols = width
         self._rows = data
+        self._row_split = self._col_split = None
 
     @classmethod
     def identity(cls, n):
@@ -320,8 +324,23 @@ class NeutroMatrix(_Value):
     def __iter__(self):
         return iter(self._rows)
 
+    def _split_rows(self):
+        """The `_shared_split` of the rows, built on first use."""
+        if self._row_split is None:
+            self._row_split = _shared_split(self._rows)
+        return self._row_split
+
+    def _split_cols(self):
+        """The `_shared_split` of the columns, built on first use."""
+        if self._col_split is None:
+            self._col_split = _shared_split(zip(*self._rows))
+        return self._col_split
+
     def _key(self):
         return self._rows
+
+    def __reduce__(self):  # the splits are rebuilt on use, not carried
+        return NeutroMatrix, (self._rows,)
 
     def __mul__(self, other):
         return nm_mul(self, other)
@@ -345,8 +364,8 @@ def nm_mul(A, B):
         raise ShapeError(
             "cannot multiply %dx%d by %dx%d" % (A.rows, A.cols, B.rows, B.cols)
         )
-    a1, a2, s = _split_integer_rows(A)
-    b1, b2, t = _split_integer_rows(zip(*B))
+    a1, a2, s = A._split_rows()
+    b1, b2, t = B._split_cols()
     out = []
     for x1, x2, si in zip(a1, a2, s):
         row = []
@@ -419,10 +438,17 @@ def _split_integer_rows(rows):
     return firsts, seconds, scales
 
 
+def _shared_split(vectors):
+    """`_split_integer_rows` frozen into tuples, so no caller can change a shared split."""
+    firsts, seconds, scales = _split_integer_rows(vectors)
+    return tuple(map(tuple, firsts)), tuple(map(tuple, seconds)), tuple(scales)
+
+
 def nm_rank(A):
     """Ranks of the two split components plus invertibility over K(I)."""
-    firsts, seconds, _ = _split_integer_rows(A)
-    r1, r2 = _echelon(firsts)[0], _echelon(seconds)[0]
+    firsts, seconds, _ = A._split_rows()
+    # _echelon eliminates in place, so it works on copies of the shared rows
+    r1, r2 = _echelon(list(map(list, firsts)))[0], _echelon(list(map(list, seconds)))[0]
     invertible = A.rows == A.cols and r1 == A.rows and r2 == A.rows
     return r1, r2, invertible
 

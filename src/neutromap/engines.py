@@ -3,8 +3,9 @@
 Concept models (FCM/NCM) iterate a state vector against a square weight
 matrix through a threshold; relational models (FRM/NRM) bounce a vector
 between a domain side and a range side through the matrix and its
-transpose.  A run splits W once into `core.nm_mul`'s integer vectors; a
-step is integer dot products against them and one sign rule.  Both
+transpose.  A step is integer dot products against the split of W's
+columns (and rows) that W builds once and shares with `core.nm_mul`, and
+one sign rule.  Both
 engines share one loop that stops at the first repeated state and report
 the hidden pattern: a fixed point or a limit cycle.
 
@@ -171,16 +172,11 @@ def _clampfix(state, clamp):
     return tuple(ONE if i in clamp else x for i, x in enumerate(state))
 
 
-def _compile(vectors):
-    """Each weight vector split to integers (a..., a+b...); its scale is > 0."""
-    firsts, seconds, _ = _split_integer_rows(vectors)
-    return tuple(zip(firsts, seconds))
-
-
-def _update(state, vectors, clamp):
-    """threshold(state . v) per compiled v, clamped coordinates forced to 1."""
+def _update(state, split, clamp):
+    """threshold(state . v) per v of a weight split (scales > 0), clamp forced to 1."""
     (x1,), (x2,), _ = _split_integer_rows((state,))
-    raw = ((sum(map(mul, x1, y1)), sum(map(mul, x2, y2))) for y1, y2 in vectors)
+    firsts, seconds, _ = split
+    raw = ((sum(map(mul, x1, y1)), sum(map(mul, x2, y2))) for y1, y2 in zip(firsts, seconds))
     return _clampfix(tuple(_sign_rule(*pair) for pair in raw), clamp)
 
 
@@ -224,7 +220,7 @@ def cm_run(model, s0, clamp=None):
     if clamp is None and model.default_clamp is not None:
         clamp = model.default_clamp
     clamp = _resolve_clamp(s, clamp, n)
-    columns = _compile(zip(*model.weights))
+    columns = model.weights._split_cols()
     first, trajectory = _run(
         _clampfix(s, clamp), lambda state: _update(state, columns, clamp)
     )
@@ -315,14 +311,14 @@ def rm_run(model, s0, side="domain", clamp=None):
         )
     clamp = _resolve_clamp(s, clamp, start_len)
     # The columns of W map the domain to the range; its rows map back.
-    columns, rows = _compile(zip(*model.weights)), _compile(model.weights)
+    columns, rows = model.weights._split_cols(), model.weights._split_rows()
     there, back = (columns, rows) if side == "domain" else (rows, columns)
 
     def step(pair):
         B = _update(pair[0], there, ())
         return _update(B, back, clamp), B
 
-    first, trajectory = _run((_clampfix(s, clamp), (ZERO,) * len(there)), step)
+    first, trajectory = _run((_clampfix(s, clamp), (ZERO,) * len(there[0])), step)
     if side == "range":
         trajectory = tuple((X, Y) for Y, X in trajectory)
     cycle = trajectory[first:-1]

@@ -127,6 +127,7 @@ FAMILIES = {
 }
 GENERATOR_GUARD = 10 ** 6  # edges of a generated graph
 DISTANCE_GUARD = 4 * 10 ** 6  # entries of the n x n distance table of metrics
+TUTTE_GUARD = 4 * 10 ** 6  # entries of the n x n matrix of names of tutte
 
 
 def generate(kind, *params):
@@ -532,7 +533,8 @@ def hamiltonian(G):
         new = []
         for i, u in enumerate(rows):
             need = n - deg[u]
-            for v in rows[i + 1:]:
+            for j in range(i + 1, len(rows)):  # a slice would copy the tail before the break
+                v = rows[j]
                 if deg[v] < need:
                     break
                 if v not in adj[u]:
@@ -706,7 +708,8 @@ def _product(a, b):
 
 
 class Polynomial(_Value):
-    """Integer polynomial, coefficients ascending from the constant term."""
+    """Exact polynomial, coefficients ascending from the constant term (integers
+    in every library result)."""
 
     __slots__ = ("coeffs",)
 
@@ -759,7 +762,7 @@ class Polynomial(_Value):
                 body = str(abs(c))
             else:
                 var = "x" if power == 1 else "x^%d" % power
-                body = var if abs(c) == 1 else "%d%s" % (abs(c), var)
+                body = var if abs(c) == 1 else str(abs(c)) + var
             if not parts:
                 parts.append(("-" if c < 0 else "") + body)
             else:
@@ -907,11 +910,13 @@ def tutte(G):
     The matrix is returned as rows of strings ('0', 'x13', '-x13').  The
     flag says whether G has a perfect matching, decided by a maximum
     matching from Edmonds' blossom algorithm (so an odd order is False and
-    the empty graph True).
+    the empty graph True).  The n x n names are checked against TUTTE_GUARD
+    before any is made.
     """
     if not G.is_simple():
         raise ValueError("tutte matrix is defined for simple graphs")
     n = G.vertex_count
+    _check_guard("tutte matrix", n * n, "entries", TUTTE_GUARD)
     names = [["0"] * n for _ in range(n)]
     for u, v in G.edges:
         sym = "x%d%d" % (u + 1, v + 1)

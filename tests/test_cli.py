@@ -229,6 +229,17 @@ class TestExitCodes:
             "error: distance table guard: 10000000000 entries exceeds 4000000\n"
         )
 
+    @pytest.mark.parametrize("family", ["path", "star"])
+    def test_tutte_guard(self, python_child, family):
+        # the 10^10 names of a 100000-vertex Tutte matrix would not fit under this cap
+        r = python_child(
+            "-c", CAPPED_CLI, "graph", "analyze", "%s-100000" % family, "--tutte",
+            timeout=20,
+        )
+        n = 100000 + (family == "star")
+        assert (r.returncode, r.stdout) == (4, "")
+        assert r.stderr == "error: tutte matrix guard: %d entries exceeds 4000000\n" % (n * n)
+
     def test_model_order_guard(self, python_child, tmp_path):
         # one edge, but 10^9 declared vertices would not fit under this cap
         big = tmp_path / "big.model"

@@ -235,6 +235,33 @@ class TestMatrix:
         assert r2 == oracles.gauss_rank([[e.real + e.indet for e in w] for w in rows])
         assert invertible == (r == c == r1 == r2)
 
+    def test_shared_split_survives_rank_and_mul(self):
+        """nm_rank eliminates on copies: the split it shares stays intact."""
+        A = parse_matrix("1/2, I, 2-6I\n1/3, 0, 1-I\n0.5, 2I, 5/7+I")
+        pairs = [[(e.real, e.indet) for e in row] for row in A]
+        ranks = (
+            oracles.gauss_rank([[a for a, _ in row] for row in pairs]),
+            oracles.gauss_rank([[a + b for a, b in row] for row in pairs]),
+        )
+        assert nm_rank(A)[:2] == nm_rank(A)[:2] == ranks
+        C = nm_mul(A, A)
+        assert [[(e.real, e.indet) for e in row] for row in C] == oracles.pmat_mul(pairs, pairs)
+        fresh = NeutroMatrix(A)
+        assert A._split_rows() == fresh._split_rows() and A._split_rows() is A._split_rows()
+        assert A._split_cols() == fresh._split_cols()
+
+    def test_built_split_keeps_value_semantics(self):
+        text = "1/2, I\n2-6I, 0"
+        A, fresh = parse_matrix(text), parse_matrix(text)
+        size = len(pickle.dumps(fresh))
+        nm_rank(A)
+        nm_mul(A, A)
+        assert len(pickle.dumps(A)) == size  # a pickle carries the entries alone
+        for twin in (A, pickle.loads(pickle.dumps(A)), copy.deepcopy(A)):
+            assert twin == fresh and hash(twin) == hash(fresh) and repr(twin) == repr(fresh)
+            assert nm_mul(twin, twin) == nm_mul(fresh, fresh)
+            assert nm_rank(twin) == nm_rank(fresh)
+
     def test_render_parse_round_trip(self):
         A = parse_matrix("2-6I, -1+4I\n0.5, 1/3")
         assert parse_matrix(render_matrix(A)) == A

@@ -14,6 +14,7 @@ from neutromap.core import (
     SizeLimitError,
     ZERO,
     nm_mul,
+    nm_rank,
 )
 from neutromap.engines import (
     ConceptModel,
@@ -30,6 +31,7 @@ from neutromap.engines import (
     threshold,
 )
 
+import neutromap.core as core
 import neutromap.engines as engines
 import goldens
 import oracles
@@ -317,19 +319,21 @@ class TestAgainstPairOracle:
 
 
 class TestSplitOnce:
-    """A run splits W once (rm_run: its columns and its rows), however many
-    steps it takes; every other split is of a one-row state."""
+    """W is split once per matrix (its columns, and for rm_run its rows too),
+    however many runs from however many starts read it; every other split is
+    of a one-row state."""
 
     @pytest.fixture
     def splits(self, monkeypatch):
         calls = []
-        split = engines._split_integer_rows
+        split = core._split_integer_rows
 
         def recording(rows):
             rows = tuple(tuple(r) for r in rows)
             calls.append(rows)
             return split(rows)
 
+        monkeypatch.setattr(core, "_split_integer_rows", recording)
         monkeypatch.setattr(engines, "_split_integer_rows", recording)
         return calls
 
@@ -344,26 +348,32 @@ class TestSplitOnce:
         model = concept_model(goldens.HACK_NE)
         pattern, _ = cm_run(model, basis_state(8, [6]))
         assert pattern.steps_to_enter == 4
-        assert self.weight_splits(splits, model.weights) == ["columns"]
         steps = set()
         for start in range(8):
-            splits.clear()
-            _, traj = cm_run(model, basis_state(8, [start]))
-            steps.add(len(traj) - 1)
-            assert self.weight_splits(splits, model.weights) == ["columns"]
+            for clamp in (None, ()):
+                _, traj = cm_run(model, basis_state(8, [start]), clamp)
+                steps.add(len(traj) - 1)
         assert min(steps) == 1 and max(steps) >= 5
+        assert self.weight_splits(splits, model.weights) == ["columns"]
+        # another matrix with the same entries keeps a split of its own
+        twin = concept_model(goldens.HACK_NE)
+        cm_run(twin, basis_state(8, [6]))
+        assert self.weight_splits(splits, model.weights) == ["columns", "columns"]
 
     def test_rm_run_splits_rows_and_columns_once(self, splits):
         model = relational_model(goldens.HACK_NE)
         steps = set()
         for side in ("domain", "range"):
             for start in range(8):
-                splits.clear()
                 result = rm_run(model, basis_state(8, [start]), side)
                 steps.add(len(result.trajectory) - 1)
-                kinds = self.weight_splits(splits, model.weights)
-                assert kinds == ["columns", "rows"]
         assert min(steps) == 1 and max(steps) >= 4
+        assert self.weight_splits(splits, model.weights) == ["columns", "rows"]
+        # a product and a rank of W read the same two splits
+        calls = len(splits)
+        nm_mul(model.weights, model.weights)
+        nm_rank(model.weights)
+        assert len(splits) == calls
 
 
 class TestDegrade:

@@ -621,6 +621,12 @@ class TestHamiltonian:
     def test_star_is_not_hamiltonian(self):
         assert hamiltonian(generate("star", 3))[1] is False
 
+    def test_big_star_reaches_the_vertex_guard(self):
+        # the closure of a star adds nothing; each row stops at its first short partner
+        G = generate("star", 20000)
+        with pytest.raises(SizeLimitError, match="^hamiltonian search guard: 20001 vertices"):
+            hamiltonian(G)
+
     def test_closure_can_complete(self):
         # K5 minus one edge: degree sum of the missing pair is 3+3=6 >= 5
         G = edit(generate("complete", 5), "delete-edges", [(0, 1)])
@@ -744,6 +750,11 @@ class TestPolynomial:
         assert str(x * x - x - x - x + x + x) == "x^2 - x"
         assert str(Polynomial([0])) == "0"
         assert str(Polynomial([2, 0, 1])) == "x^2 + 2"
+
+    def test_str_prints_every_coefficient_as_its_str(self):
+        assert str(Polynomial([0, Fraction(7, 6)])) == "7/6x"
+        assert str(Polynomial([Fraction(1, 2), Fraction(-3, 4), 0, -5])) == "-5x^3 - 3/4x + 1/2"
+        assert str(Polynomial([-1, 3, -12])) == "-12x^2 + 3x - 1"
 
     def test_arithmetic_and_eval(self):
         p = Polynomial([1, 2]) * Polynomial([-1, 1])  # (2x+1)(x-1)
@@ -978,6 +989,15 @@ class TestSpanningTrees:
 
 
 class TestTutte:
+    def test_guard_edge(self):
+        # 2000^2 names is exactly the guard; one more vertex trips it
+        assert graphs.TUTTE_GUARD == 2000 ** 2
+        assert len(tutte(Graph(2000))[0]) == 2000
+        with pytest.raises(
+            SizeLimitError, match="^tutte matrix guard: 4004001 entries exceeds 4000000$",
+        ):
+            tutte(Graph(2001))
+
     def test_k2(self):
         matrix, flag = tutte(generate("complete", 2))
         assert matrix == (("0", "x12"), ("-x12", "0")) and flag
