@@ -20,7 +20,8 @@ and a vertex of degree below 2 answers "not Hamiltonian" without a search.
 The circumference and Hamiltonian cycles share one iterative search over
 (vertex set, end) states; chromatic number and index run desk-scale
 backtracking.  Every exponential search sits behind a size guard, and so do
-the edge count of a generated graph and the n x n distance table.
+the edge count of a generated graph and the n x n distance table, Tutte
+names and Laplacian.
 """
 
 from itertools import combinations, starmap, zip_longest
@@ -94,6 +95,9 @@ class Graph(_Value):
     def _key(self):
         return self.vertex_count, self.edges
 
+    def __reduce__(self):  # the view is rebuilt on use, not carried; both switches on
+        return Graph, (self.vertex_count, self.edges, True, True)
+
     def __repr__(self):
         return "Graph(%d, m=%d)" % (self.vertex_count, self.m)
 
@@ -128,6 +132,7 @@ FAMILIES = {
 GENERATOR_GUARD = 10 ** 6  # edges of a generated graph
 DISTANCE_GUARD = 4 * 10 ** 6  # entries of the n x n distance table of metrics
 TUTTE_GUARD = 4 * 10 ** 6  # entries of the n x n matrix of names of tutte
+LAPLACIAN_GUARD = 4 * 10 ** 6  # entries of the n x n Laplacian of spanning_tree_count
 
 
 def generate(kind, *params):
@@ -889,11 +894,15 @@ def _peel(masks, dirty, drops):
 
 
 def spanning_tree_count(G):
-    """tau(G) as a Laplacian cofactor; loops ignored, parallel edges counted."""
+    """tau(G) as a Laplacian cofactor; loops ignored, parallel edges counted.
+
+    The n x n Laplacian of a connected G is checked against LAPLACIAN_GUARD
+    before it is built."""
     n = G.vertex_count
     # the cofactor is singular exactly when G is disconnected: skip elimination
     if n == 0 or len(_components(n, G.view()[1])) > 1:
         return 0
+    _check_guard("laplacian", n * n, "entries", LAPLACIAN_GUARD)
     L = [[0] * n for _ in range(n)]
     for u, v in G.edges:
         if u != v:

@@ -8,15 +8,20 @@ the real value.  Property predicates are three-valued: a threshold
 comparison against an indeterminate entry makes that clause indeterminate.
 
 Composition, closure, transitivity, joins and `dom_ran_height` run on
-integer rank codes (`_rank_codes`), whose integer order is lattice_max's
-order and whose bitwise AND is lattice_min, so a max-min product is `max`
-over `&` of Python integers and a row's lattice_max is its largest code.
-Grades are encoded once and results decoded once, back to the exact
-Fraction-valued grades.
+integer rank codes (`_encode`), whose integer order is lattice_max's order
+and whose bitwise AND is lattice_min, so a max-min product is `max` over `&`
+of Python integers and a row's lattice_max is its largest code.  Each
+relation encodes its grades once, on first use, and keeps the codes; an
+operation on relations with different magnitudes remaps them onto the joint
+ranks (`_rank_codes`), and results are decoded once, back to the exact
+Fraction-valued grades.  A product whose outer dimensions are both at least
+10 and whose rank count is at most twice its inner dimension runs on level
+masks instead (`_compose_codes`): one AND and one bit length per entry.
 """
 
 from fractions import Fraction
-from operator import and_
+from itertools import count
+from operator import and_, lshift
 
 from .core import (
     NotFoundError,
@@ -130,7 +135,8 @@ def lattice_max(x, y):
 
 
 class FuzzyNeutroRelation(_Value):
-    __slots__ = ("row_labels", "col_labels", "values")
+    # the `_encode` of the grades: None until first use
+    __slots__ = ("row_labels", "col_labels", "values", "_codes")
 
     def __init__(self, row_labels, col_labels, values):
         row_labels = tuple(row_labels)
@@ -160,6 +166,7 @@ class FuzzyNeutroRelation(_Value):
         self.row_labels = row_labels
         self.col_labels = col_labels
         self.values = rows
+        self._codes = None
 
     @classmethod
     def from_tokens(cls, rows, row_labels=None, col_labels=None):
@@ -199,8 +206,17 @@ class FuzzyNeutroRelation(_Value):
     def is_square(self):
         return self.row_labels == self.col_labels
 
+    def _encoding(self):
+        """The `_encode` of the grades, built on first use."""
+        if self._codes is None:
+            self._codes = _encode(self.values)
+        return self._codes
+
     def _key(self):
         return self.row_labels, self.col_labels, self.values
+
+    def __reduce__(self):  # the codes are rebuilt on use, not carried
+        return FuzzyNeutroRelation, (self.row_labels, self.col_labels, self.values)
 
     def __repr__(self):
         return "FuzzyNeutroRelation(%d x %d)" % self.shape
@@ -232,36 +248,91 @@ def _magnitude_key(v):
     return v.magnitude.numerator, v.magnitude.denominator
 
 
-def _rank_codes(*relations):
-    """Integer codes for the grades of `relations`: (code matrices, decode).
+def _ones(k):
+    """The code of an indeterminate grade of rank k; the real grade's is one more."""
+    return ((1 << k) - 1) << 1
 
-    Zero is coded 0.  A grade whose magnitude has rank k among the distinct
-    nonzero magnitudes is coded ((1 << k) - 1) << 1, plus 1 when it is real.
-    Codes order like lattice_max (magnitude first, then real over
-    indeterminate); the AND of two codes keeps the shorter run of ones, and
-    the real bit only when both grades are real, which is lattice_min, zero
-    annihilation included.  `decode` maps the codes of both variants of
-    every magnitude back to grades.
+
+def _decoder(magnitudes):
+    """Code -> grade for zero and both variants of every ranked magnitude."""
+    decode = {0: FZERO}
+    for k, mag in enumerate(magnitudes, 1):
+        decode[_ones(k) | 1] = FuzzyNeutroValue(mag)
+        decode[_ones(k)] = FuzzyNeutroValue(mag, True)
+    return decode
+
+
+def _encode(grid):
+    """Integer codes for a grid of grades: (magnitudes, codes, decode).
+
+    `magnitudes` are the distinct nonzero magnitudes, ascending.  Zero is
+    coded 0, and a grade whose magnitude has rank k among them is coded
+    `_ones(k)`, k one-bits shifted left once, plus 1 when it is real.  Codes
+    order like lattice_max (magnitude first, then real over indeterminate);
+    the AND of two codes keeps the shorter run of ones, and the real bit only
+    when both grades are real, which is lattice_min, zero annihilation
+    included.  `codes` is a tuple of row tuples, and `decode` is `_decoder`.
     """
-    grids = [R.values for R in relations]
-    keys = {_magnitude_key(v) for g in grids for row in g for v in row} - {(0, 1)}
-    by_mag, decode = {(0, 1): (0, 0)}, {0: FZERO}
-    for k, (num, den) in enumerate(sorted(keys, key=lambda p: Fraction(*p)), 1):
-        ones = ((1 << k) - 1) << 1
-        by_mag[num, den] = (ones | 1, ones)  # indexed by the indeterminate flag
-        decode[ones | 1] = FuzzyNeutroValue(Fraction(num, den))
-        decode[ones] = FuzzyNeutroValue(Fraction(num, den), True)
-    codes = [
-        [[by_mag[_magnitude_key(v)][v.indeterminate] for v in row] for row in g]
-        for g in grids
-    ]
-    return codes, decode
+    keys = {_magnitude_key(v) for row in grid for v in row} - {(0, 1)}
+    magnitudes = tuple(sorted(Fraction(*p) for p in keys))
+    by_mag = {(0, 1): (0, 0)}
+    for k, mag in enumerate(magnitudes, 1):
+        by_mag[mag.numerator, mag.denominator] = (_ones(k) | 1, _ones(k))  # by the flag
+    codes = tuple(
+        tuple(by_mag[_magnitude_key(v)][v.indeterminate] for v in row) for row in grid
+    )
+    return magnitudes, codes, _decoder(magnitudes)
 
 
-def _compose_codes(P, Q):
-    """Max-min product of two code matrices: max over t of p_it & q_tj."""
-    cols = list(zip(*Q))
-    return [[max(map(and_, row, col)) for col in cols] for row in P]
+def _rank_codes(*relations):
+    """The code matrices of `relations` on their joint ranks, and decode.
+
+    Each relation's own codes serve as they are when every operand has the
+    same magnitudes; otherwise each is remapped onto the ranks of the union.
+    """
+    encodings = [R._encoding() for R in relations]
+    magnitudes, _, decode = encodings[0]
+    if all(own == magnitudes for own, _, _ in encodings):
+        return [codes for _, codes, _ in encodings], decode
+    magnitudes = sorted(set().union(*(own for own, _, _ in encodings)))
+    rank = {mag: k for k, mag in enumerate(magnitudes, 1)}
+    remapped = []
+    for own, codes, _ in encodings:
+        remap = {0: 0}
+        for k, mag in enumerate(own, 1):
+            to = _ones(rank[mag])
+            remap[_ones(k)], remap[_ones(k) | 1] = to, to | 1
+        remapped.append([list(map(remap.__getitem__, row)) for row in codes])
+    return remapped, _decoder(magnitudes)
+
+
+def _compose_codes(P, Q, decode):
+    """Max-min product of two code matrices: max over t of p_it & q_tj.
+
+    `decode` is the one of `_rank_codes`, whose 2d + 1 codes bound the ranks
+    at d.  Small products (an outer dimension below 10) and many ranks (d
+    above twice the inner dimension k) take `max(map(and_, row, col))` per
+    entry.  Otherwise each row of P and column of Q becomes one integer of 2d
+    blocks of k bits: bit t of block 2L - 2 is set when the t-th code has
+    rank at least L, and bit t of block 2L - 1 when it is moreover real.
+    p & q has rank min(Lp, Lq) and real bit rp & rq, and integers order codes
+    by rank, then by the real bit, so the entry's code is the one of the
+    highest block in which the row's and the column's masks meet: it is
+    read off the bit length of their AND.
+    """
+    k, levels = len(Q), len(decode) // 2
+    if min(len(P), len(Q[0])) < 10 or levels > 2 * k:
+        cols = list(zip(*Q))
+        return [[max(map(and_, row, col)) for col in cols] for row in P]
+    spread, by_length, masks = {0: 0}, [0], 0
+    for L in range(1, levels + 1):
+        masks |= 1 << (2 * L - 2) * k
+        spread[_ones(L)], spread[_ones(L) | 1] = masks, masks | masks << k
+        by_length += [_ones(L)] * k + [_ones(L) | 1] * k
+    rows = [sum(map(lshift, map(spread.__getitem__, row), count())) for row in P]
+    cols = [sum(map(lshift, map(spread.__getitem__, col), count())) for col in zip(*Q)]
+    code = by_length.__getitem__
+    return [list(map(code, map(int.bit_length, map(a.__and__, cols)))) for a in rows]
 
 
 def _decoded(rows, decode):
@@ -277,7 +348,7 @@ def maxmin_compose(P, Q):
                len(Q.row_labels), list(Q.row_labels))
         )
     (Pc, Qc), decode = _rank_codes(P, Q)
-    out = _compose_codes(Pc, Qc)
+    out = _compose_codes(Pc, Qc, decode)
     return FuzzyNeutroRelation(P.row_labels, Q.col_labels, _decoded(out, decode))
 
 
@@ -355,10 +426,10 @@ def properties(R, epsilon=Fraction(1, 2)):
         if i != j
     )
 
-    (codes,), _ = _rank_codes(R)
+    (codes,), decode = _rank_codes(R)
     pairs = [
         (r, c)
-        for rrow, crow in zip(codes, _compose_codes(codes, codes))
+        for rrow, crow in zip(codes, _compose_codes(codes, codes, decode))
         for r, c in zip(rrow, crow)
     ]
     transitive = all(c <= r for r, c in pairs)
@@ -390,13 +461,16 @@ def transitive_closure(R):
     if m != n:
         raise ShapeError("transitive closure needs a square relation")
     (codes,), decode = _rank_codes(R)
+    # lists like each round's result: a list never equals a tuple, and the
+    # fixpoint test below must be able to hold on the first round
+    codes = [list(row) for row in codes]
     # Each round takes the entrywise max with the previous codes, so no
     # entry's code ever decreases, and every code stays among the 2d+1
     # codes of R's d magnitudes (AND and max of codes are such codes).
     # A round that changes the relation raises some entry, so the loop
     # ends after at most 2d*n*n + 1 rounds.
     while True:
-        composed = _compose_codes(codes, codes)
+        composed = _compose_codes(codes, codes, decode)
         merged = [list(map(max, row, crow)) for row, crow in zip(codes, composed)]
         if merged == codes:
             return FuzzyNeutroRelation(

@@ -240,6 +240,17 @@ class TestExitCodes:
         assert (r.returncode, r.stdout) == (4, "")
         assert r.stderr == "error: tutte matrix guard: %d entries exceeds 4000000\n" % (n * n)
 
+    @pytest.mark.parametrize("family", ["path", "star"])
+    def test_tree_count_guard(self, python_child, family):
+        # the 10^10-entry Laplacian of a 100000-vertex graph would not fit under this cap
+        r = python_child(
+            "-c", CAPPED_CLI, "graph", "analyze", "%s-100000" % family, "--tree-count",
+            timeout=20,
+        )
+        n = 100000 + (family == "star")
+        assert (r.returncode, r.stdout) == (4, "")
+        assert r.stderr == "error: laplacian guard: %d entries exceeds 4000000\n" % (n * n)
+
     def test_model_order_guard(self, python_child, tmp_path):
         # one edge, but 10^9 declared vertices would not fit under this cap
         big = tmp_path / "big.model"

@@ -57,6 +57,9 @@ from neutromap.relations import (
     FuzzyNeutroRelation,
     FuzzyNeutroValue,
     PropertyReport,
+    maxmin_compose,
+    properties,
+    transitive_closure,
 )
 
 import goldens
@@ -429,7 +432,47 @@ for _name, (_make, _) in RECORDS.items():
     VALUES[_name] = (_make, lambda make=_make: _other_record(make), type(_make()).__slots__)
 
 
+# value class name -> (a builder, what warms its caches, the cached forms);
+# each cache is built on first use and stays out of the value and its pickle
+CACHES = {
+    "NeutroMatrix": (
+        lambda: NeutroMatrix([[1, I], [Fraction(1, 2), -I]]),
+        lambda A: (nm_mul(A, A), nm_rank(A)),
+        lambda A: (A._row_split, A._col_split),
+    ),
+    "Graph": (
+        lambda: generate("complete", 6),
+        lambda G: hamiltonian(G),
+        lambda G: (G._view,),
+    ),
+    "NeutroGraph": (
+        lambda: NeutroGraph(2, 1, [(0, 1, "R"), (1, 2, "I")]),
+        lambda G: G.underlying().view(),
+        lambda G: (G.underlying()._view,),
+    ),
+    "FuzzyNeutroRelation": (
+        lambda: FuzzyNeutroRelation.from_tokens([["0.5", "I"], ["0", "0.2I"]], ["a", "b"], ["a", "b"]),
+        lambda R: (maxmin_compose(R, R), transitive_closure(R), properties(R)),
+        lambda R: (R._codes,),
+    ),
+}
+
+
 class TestValueSemantics:
+    @pytest.mark.parametrize("name", sorted(CACHES))
+    def test_a_warm_cache_leaks_nowhere(self, name):
+        make, warm, cached = CACHES[name]
+        x, fresh = make(), make()
+        warm(x)
+        assert None not in cached(x) and set(cached(fresh)) == {None}
+        assert pickle.dumps(x) == pickle.dumps(fresh)
+        assert x == fresh and hash(x) == hash(fresh) and repr(x) == repr(fresh)
+        for twin in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert set(cached(twin)) == {None}
+            assert pickle.dumps(twin) == pickle.dumps(fresh)
+            assert twin == fresh and hash(twin) == hash(fresh) and repr(twin) == repr(fresh)
+            assert warm(twin) == warm(fresh)
+
     @pytest.mark.parametrize("name", sorted(VALUES))
     def test_equal_by_identity_fields(self, name):
         make, make_other, fields = VALUES[name]

@@ -1,5 +1,6 @@
 """Unit tests for fuzzy/neutrosophic values and relations."""
 
+import random
 from fractions import Fraction
 from functools import reduce
 
@@ -474,6 +475,153 @@ class TestJoin:
         P = rel(["a"], ["x"], [["0"]])
         Q = rel(["x"], ["u"], [["1"]])
         assert relational_join(P, Q)[("a", "x", "u")] == FZERO
+
+
+def random_tokens(rng, r, c, denominator, zero_share=0.35, real_only=False):
+    """Grades k/denominator, a share of them zero and, unless real_only,
+    two fifths of the rest indeterminate."""
+    def token():
+        if rng.random() < zero_share:
+            return "0"
+        mag = "%d/%d" % (rng.randint(1, denominator), denominator)
+        return mag if real_only or rng.random() < 0.6 else mag + "I"
+    return [[token() for _ in range(c)] for _ in range(r)]
+
+
+def magnitude_count(*relations):
+    """d, the number of distinct nonzero magnitudes, of the joint ranks."""
+    return len({v.magnitude for R in relations for row in R.values for v in row} - {0})
+
+
+def level_masks(n, k, m, d):
+    """The rule by which `_compose_codes` picks its level-mask kernel."""
+    return min(n, m) >= 10 and d <= 2 * k
+
+
+class TestRankCodes:
+    """The cached grade codes and both compose kernels, against the oracles."""
+
+    # (rows, inner, cols, denominator, real_only, kernel): the denominator bounds d
+    @pytest.mark.parametrize(
+        "r, k, c, den, real_only, kernel",
+        [
+            (3, 4, 2, 10, False, "entries"),
+            (9, 12, 12, 10, False, "entries"),
+            (12, 12, 12, 10, False, "masks"),
+            (16, 16, 16, 10, True, "masks"),
+            (10, 16, 11, 10, False, "masks"),
+            (12, 5, 14, 40, False, "entries"),
+            (16, 16, 16, 100, False, "entries"),
+            (12, 40, 10, 60, False, "masks"),
+            (12, 3, 14, 4, False, "masks"),
+            (1, 20, 20, 10, False, "entries"),
+        ],
+    )
+    def test_compose_matches_oracle_on_both_kernels(self, r, k, c, den, real_only, kernel):
+        rng = random.Random(r * 1000 + k * 10 + c + den)
+        pt = random_tokens(rng, r, k, den, real_only=real_only)
+        qt = random_tokens(rng, k, c, den, real_only=real_only)
+        P, Q = labelled(pt, "x", "y"), labelled(qt, "y", "z")
+        assert level_masks(r, k, c, magnitude_count(P, Q)) == (kernel == "masks")
+        C = maxmin_compose(P, Q)
+        assert grades(C) == oracles.ocompose(oracles.fzmat(pt), oracles.fzmat(qt))
+
+    @pytest.mark.parametrize("n, den", [(4, 10), (12, 10), (16, 5), (12, 40)])
+    def test_closure_matches_floyd_warshall_on_real_values(self, n, den):
+        rng = random.Random(n + den)
+        toks = random_tokens(rng, n, n, den, zero_share=0.6, real_only=True)
+        C = transitive_closure(labelled(toks, "x", "x"))
+        assert grades(C) == oracles.fw_closure(oracles.fzmat(toks))
+
+    @pytest.mark.parametrize("n, den", [(12, 10), (16, 4), (10, 40)])
+    def test_closure_and_transitivity_match_squaring_on_mixed_grades(self, n, den):
+        rng = random.Random(n * den)
+        toks = random_tokens(rng, n, n, den, zero_share=0.7)
+        R = labelled(toks, "x", "x")
+        C = transitive_closure(R)
+        assert grades(C) == oracles.squaring_closure(oracles.fzmat(toks))
+        assert properties(C).transitive is True
+        expect = oracles.o_is_transitive(oracles.fzmat(toks))
+        assert properties(R).transitive is expect
+
+    def test_operands_with_different_magnitudes_are_remapped(self):
+        rng = random.Random(11)
+        pt = random_tokens(rng, 12, 12, 10)  # tenths
+        qt = random_tokens(rng, 12, 12, 7)  # sevenths: only 1 is shared
+        P, Q = labelled(pt, "x", "y"), labelled(qt, "y", "z")
+        assert P._encoding()[0] != Q._encoding()[0]
+        C = maxmin_compose(P, Q)
+        assert grades(C) == oracles.ocompose(oracles.fzmat(pt), oracles.fzmat(qt))
+        J = relational_join(P, Q)
+        assert J[("x1", "y2", "z3")] == lattice_min(P.entry(0, 1), Q.entry(1, 2))
+        # the operands keep their own codes
+        assert P._encoding()[0] == tuple(sorted({v.magnitude for row in P.values for v in row} - {0}))
+
+    @pytest.mark.parametrize("n", [1, 12])
+    def test_all_zero_relations(self, n):
+        zero = labelled([["0"] * n] * n, "x", "x")
+        some = labelled(random_tokens(random.Random(n), n, n, 10), "x", "x")
+        for P, Q in ((zero, zero), (zero, some), (some, zero)):
+            assert all(v == FZERO for row in maxmin_compose(P, Q).values for v in row)
+        assert transitive_closure(zero) == zero
+        report = properties(zero)
+        assert report.irreflexive is True and report.transitive is True
+        assert dom_ran_height(zero).height == FZERO
+        assert set(relational_join(zero, some).values()) == {FZERO}
+
+    def test_one_by_one(self):
+        for tok in ("0", "0.5", "0.5I", "1", "I"):
+            R = labelled([[tok]], "x", "x")
+            v = FuzzyNeutroValue.parse(tok)
+            assert maxmin_compose(R, R).entry(0, 0) == v
+            assert transitive_closure(R) == R
+            assert dom_ran_height(R) == dom_ran_height(R) and dom_ran_height(R).height == v
+
+    @pytest.mark.parametrize("n", [2, 12])
+    def test_a_transitive_relation_closes_in_one_round(self, monkeypatch, n):
+        # the cached codes are tuples; a round's result never equals them
+        # unless the closure first copies them into lists
+        from neutromap import relations
+
+        rounds = []
+
+        def counting(P, Q, decode):
+            rounds.append(1)
+            return compose(P, Q, decode)
+
+        compose = relations._compose_codes
+        monkeypatch.setattr(relations, "_compose_codes", counting)
+        R = transitive_closure(labelled(random_tokens(random.Random(n), n, n, 10), "x", "x"))
+        rounds.clear()
+        assert transitive_closure(R) == R
+        assert len(rounds) == 1
+
+    def test_each_relation_is_encoded_once(self, monkeypatch):
+        from neutromap import relations
+
+        encoded = []
+
+        def counting(grid):
+            encoded.append(grid)
+            return encode(grid)
+
+        encode = relations._encode
+        monkeypatch.setattr(relations, "_encode", counting)
+        rng = random.Random(2)
+        R = labelled(random_tokens(rng, 12, 12, 10), "x", "x")
+        S = labelled(random_tokens(rng, 12, 12, 10, real_only=True), "x", "x")
+        small = labelled(random_tokens(rng, 3, 3, 10), "x", "x")
+        for _ in range(3):
+            for P in (R, S, small):
+                maxmin_compose(P, P)
+                transitive_closure(P)
+                properties(P)
+                dom_ran_height(P)
+            maxmin_compose(R, S)
+            relational_join(R, S)
+            relational_join(S, R)
+        assert len(encoded) == 3
+        assert {id(grid) for grid in encoded} == {id(R.values), id(S.values), id(small.values)}
 
 
 class TestHomomorphism:
