@@ -5,7 +5,9 @@ All coefficients are exact rationals; there is no floating point anywhere in
 this module.  The ring K(I) has zero divisors (I*(1-I) = 0), which is why
 rank and invertibility go through the componentwise splitting isomorphism
 a+bI -> (a, a+b) instead of direct elimination: each split component is
-scaled to integers and ranked by fraction-free (Bareiss) elimination.
+scaled to integers and ranked modulo a prime below 2**30; a full rank mod
+p is exact, and any other component falls back to fraction-free (Bareiss)
+elimination, which the spanning-tree count keeps for its determinant.
 Products use the same split, since it turns (a+bI)(c+dI) into the
 componentwise product (ac, (a+b)(c+d)): each row of the left operand and
 each column of the right one is scaled to integers by one lcm, the two
@@ -72,7 +74,7 @@ def _render_fraction(f):
 
 
 def _render_number(a, b):
-    """a+bI as text; as `_i_coefficient` reads it, a coefficient of +-1 is its sign alone."""
+    """a+bI as text; as `_rational` reads it, a coefficient of +-1 is its sign alone."""
     if b == 0:
         return _render_fraction(a)
     tail = "I" if b == 1 else "-I" if b == -1 else _render_fraction(b) + "I"
@@ -253,11 +255,16 @@ def nn_mul(x, y):
     return _as_nn(x) * _as_nn(y)
 
 
-def _i_coefficient(text):
-    """The coefficient written before I: nothing or a bare sign means +-1."""
-    if text in ("", "+", "-"):
-        return Fraction(-1 if text == "-" else 1)
-    return Fraction(text)
+def _rational(text):
+    """The exact value of a signed `_NUM`, built from its integer digits;
+    as a coefficient of I, nothing or a bare sign means +-1."""
+    if "/" in text:
+        num, den = text.split("/")
+        return Fraction(int(num), int(den))
+    whole, dot, frac = text.partition(".")
+    if dot:
+        return Fraction(int(whole + frac), 10 ** len(frac))
+    return int(text + "1" if text in ("", "+", "-") else text)
 
 
 def parse_number(token):
@@ -266,10 +273,10 @@ def parse_number(token):
     if not m:
         raise ParseError("bad value token %r" % (token,))
     if m.group("ronly") is not None:
-        return NeutroNumber(Fraction(m.group("ronly")))
+        return NeutroNumber(_rational(m.group("ronly")))
     if m.group("ionly") is not None:
-        return NeutroNumber(0, _i_coefficient(m.group("ionly")))
-    return NeutroNumber(Fraction(m.group("ra")), _i_coefficient(m.group("ib")))
+        return NeutroNumber(0, _rational(m.group("ionly")))
+    return NeutroNumber(_rational(m.group("ra")), _rational(m.group("ib")))
 
 
 class SplitPair(_Record):
@@ -444,11 +451,41 @@ def _shared_split(vectors):
     return tuple(map(tuple, firsts)), tuple(map(tuple, seconds)), tuple(scales)
 
 
+# a prime below 2**30, so every residue is one CPython digit
+_RANK_PRIME = (1 << 30) - 35
+
+
+def _full_rank_mod_p(rows):
+    """Whether integer rows reach rank min(m, n) modulo _RANK_PRIME, which
+    certifies that rank over Q: a minor nonzero mod p is nonzero over Z.
+    Eliminates on reduced copies, dropping each column once it is used."""
+    p = _RANK_PRIME
+    slack = max(len(rows[0]) - len(rows), 0)  # pivotless columns full rank affords
+    rows = [[x % p for x in r] for r in rows]
+    while rows and rows[0]:
+        top = next((r for r in rows if r[0]), None)
+        if top is None:
+            if not slack:
+                return False
+            slack -= 1
+            rows = [r[1:] for r in rows]
+            continue
+        rows.remove(top)
+        inv, tail = p - pow(top[0], -1, p), top[1:]
+        rows = [
+            [(x + f * y) % p for x, y in zip(r[1:], tail)] if (f := r[0] * inv % p) else r[1:]
+            for r in rows
+        ]
+    return True
+
+
 def nm_rank(A):
     """Ranks of the two split components plus invertibility over K(I)."""
-    firsts, seconds, _ = A._split_rows()
-    # _echelon eliminates in place, so it works on copies of the shared rows
-    r1, r2 = _echelon(list(map(list, firsts)))[0], _echelon(list(map(list, seconds)))[0]
+    # full rank mod p is certified; Bareiss ranks the rest, on a copy of the shared rows
+    r1, r2 = (
+        min(A.rows, A.cols) if _full_rank_mod_p(rows) else _echelon(list(map(list, rows)))[0]
+        for rows in A._split_rows()[:2]
+    )
     invertible = A.rows == A.cols and r1 == A.rows and r2 == A.rows
     return r1, r2, invertible
 

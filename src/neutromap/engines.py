@@ -360,13 +360,10 @@ def link(chain):
 
 
 def _sign_threshold(x):
-    if x.real > 0:
-        return ONE
-    if x.real < 0:
-        return MINUS_ONE
-    if x.indet != 0:
-        return I
-    return ZERO
+    sign = x.real.numerator  # the sign of a Fraction is its numerator's
+    if sign:
+        return ONE if sign > 0 else MINUS_ONE
+    return I if x.indet.numerator else ZERO
 
 
 def frm_convertible(model):

@@ -71,6 +71,9 @@ class NeutroGraph(_Value):
     def _key(self):
         return self.n_real, self.n_indet, self.edges, self.directed
 
+    def __reduce__(self):  # the underlying graph is rebuilt, not carried; both switches on
+        return NeutroGraph, (*self._key(), True, True)
+
     def __repr__(self):
         return "NeutroGraph(%d+%d, m=%d%s)" % (
             self.n_real, self.n_indet, self.m, ", directed" if self.directed else ""

@@ -4,12 +4,15 @@ import copy
 import doctest
 import os
 import pickle
+import re
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neutromap import core
 from neutromap.core import (
     I,
     NeutroMatrix,
@@ -103,6 +106,38 @@ class TestScalar:
         assert parse_number("3/06") == NeutroNumber(Fraction(1, 2))
         with pytest.raises(ParseError, match="line 2"):
             parse_matrix("1, 2\n0, 1/0")
+
+    # every number shape of the grammar: leading zeros, bare and padded
+    # fractions, and Unicode decimal digits, which int() reads as \d matches them
+    NUMBER_SHAPES = ["7", "007", "0", "3/06", "12/4", ".5", "0.50", "10.250", "٣", "٣.٥", "1٤/2"]
+
+    @pytest.mark.parametrize("num", NUMBER_SHAPES)
+    @pytest.mark.parametrize("sign", ["", "+", "-"])
+    def test_digit_parser_matches_fraction_text(self, sign, num):
+        a = sign + num
+        assert parse_number(a) == nn(Fraction(a))
+        assert parse_number(a + "I") == nn(0, Fraction(a))
+        for tail in ("+", "-"):
+            for b in ("", ".5", num):
+                indet = Fraction(tail + (b or "1"))
+                assert parse_number(a + tail + b + "I") == nn(Fraction(a), indet)
+
+    def test_digit_parser_reads_every_unicode_decimal_digit(self):
+        digits = re.findall(r"\d", "".join(map(chr, range(sys.maxunicode + 1))))
+        assert len(digits) > 600
+        for d in digits:
+            assert parse_number(d) == nn(Fraction(d)) == nn(int(d))
+            assert parse_number("-%s.%s0+.%sI" % (d, d, d)) == nn(
+                Fraction("-%s.%s0" % (d, d)), Fraction("." + d)
+            )
+
+    @pytest.mark.parametrize(
+        "bad", ["1.", "1..2", "1/2/3", "٣/٣", "½", "1_000", "0x1", "1e3", "+-1", "I+1", "3/0.5"]
+    )
+    def test_digit_parser_rejects_as_before(self, bad):
+        with pytest.raises(ParseError) as caught:
+            parse_number(bad)
+        assert str(caught.value) == "bad value token %r" % (bad,)
 
     def test_idempotent_indeterminacy(self):
         assert I * I == I
@@ -237,6 +272,46 @@ class TestMatrix:
         assert r1 == oracles.gauss_rank([[e.real for e in w] for w in rows])
         assert r2 == oracles.gauss_rank([[e.real + e.indet for e in w] for w in rows])
         assert invertible == (r == c == r1 == r2)
+
+    def test_rank_falls_back_when_singular_mod_the_prime(self, monkeypatch):
+        """A full rank mod p is certified; a rank short mod p goes to Bareiss."""
+        p = core._RANK_PRIME
+        bareiss = []
+        echelon = core._echelon
+        monkeypatch.setattr(core, "_echelon", lambda rows: bareiss.append(rows) or echelon(rows))
+        assert nm_rank(NeutroMatrix([[2, 1], [1, 1]])) == (2, 2, True) and not bareiss
+        cases = [
+            ([[p, 0], [0, 1]], (2, 2, True)),
+            ([[NeutroNumber(p, -p), 0], [0, 1]], (2, 1, False)),
+            ([[1, 1], [1, 1 + p]], (2, 2, True)),
+            ([[Fraction(p, 3), 1, 0], [0, 0, p]], (2, 2, False)),
+            ([[p], [2 * p]], (1, 1, False)),
+        ]
+        for rows, want in cases:
+            del bareiss[:]
+            A = NeutroMatrix(rows)
+            assert nm_rank(A) == want
+            assert bareiss  # the certificate failed, so the exact fallback ran
+            for rank, part in zip(want, (lambda e: e.real, lambda e: e.real + e.indet)):
+                assert rank == oracles.gauss_rank([[part(e) for e in r] for r in A])
+
+    @settings(deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_rank_with_entries_in_multiples_of_the_prime(self, r, c, data):
+        p = core._RANK_PRIME
+        multiple = st.integers(-3, 3).map(lambda k: k * p)
+        entry = st.one_of(
+            st.builds(NeutroNumber, multiple, multiple),
+            st.builds(NeutroNumber, multiple, st.integers(-2, 2)),
+            st.just(ZERO), st.just(I), st.just(ONE),
+        )
+        rows = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+        A, fresh = NeutroMatrix(rows), NeutroMatrix(rows)
+        r1, r2, invertible = nm_rank(A)
+        assert r1 == oracles.gauss_rank([[e.real for e in w] for w in rows])
+        assert r2 == oracles.gauss_rank([[e.real + e.indet for e in w] for w in rows])
+        assert invertible == (r == c == r1 == r2)
+        assert A._split_rows() == fresh._split_rows()  # eliminated on copies only
 
     def test_shared_split_survives_rank_and_mul(self):
         """nm_rank eliminates on copies: the split it shares stays intact."""
@@ -538,6 +613,16 @@ class TestValueSemantics:
         for twin in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
             assert type(twin) is type(x) and twin == x and hash(twin) == hash(x)
             assert repr(twin) == repr(x)
+
+    def test_neutro_graph_pickles_its_tagged_edges_alone(self):
+        K = generate("complete", 40)
+        G = NeutroGraph(30, 10, [(u, v, "I" if (u + v) % 3 else "R") for u, v in K.edges])
+        G.underlying().view()
+        data = pickle.dumps(G)
+        assert b"neutromap.graphs" not in data  # no underlying Graph rides along
+        twin = pickle.loads(data)
+        assert twin == G and hash(twin) == hash(G) and twin.underlying() == G.underlying()
+        assert twin.underlying().is_simple() and twin.underlying()._view is None
 
     def test_indeterminate_stays_one_object(self):
         report = RECORDS["PropertyReport"][0]()
