@@ -7,7 +7,8 @@ rank and invertibility go through the componentwise splitting isomorphism
 a+bI -> (a, a+b) instead of direct elimination: each split component is
 scaled to integers and ranked modulo a prime below 2**30; a full rank mod
 p is exact, and any other component falls back to fraction-free (Bareiss)
-elimination, which the spanning-tree count keeps for its determinant.
+elimination, which the spanning-tree count keeps for its determinant; so the
+modular pass saves time on full-rank components and adds to rank-deficient ones.
 Products use the same split, since it turns (a+bI)(c+dI) into the
 componentwise product (ac, (a+b)(c+d)): each row of the left operand and
 each column of the right one is scaled to integers by one lcm, the two
@@ -456,36 +457,28 @@ _RANK_PRIME = (1 << 30) - 35
 
 
 def _full_rank_mod_p(rows):
-    """Whether integer rows reach rank min(m, n) modulo _RANK_PRIME, which
-    certifies that rank over Q: a minor nonzero mod p is nonzero over Z.
-    Eliminates on reduced copies, dropping each column once it is used."""
-    p = _RANK_PRIME
-    slack = max(len(rows[0]) - len(rows), 0)  # pivotless columns full rank affords
+    """Whether integer rows reach rank min(m, n) modulo _RANK_PRIME, which is then
+    their rank over Q: a minor nonzero mod p is nonzero over Z.  Each used column is dropped."""
+    p, slack = _RANK_PRIME, len(rows[0]) - len(rows)  # pivotless columns full rank affords
     rows = [[x % p for x in r] for r in rows]
     while rows and rows[0]:
         top = next((r for r in rows if r[0]), None)
-        if top is None:
-            if not slack:
-                return False
-            slack -= 1
-            rows = [r[1:] for r in rows]
-            continue
-        rows.remove(top)
-        inv, tail = p - pow(top[0], -1, p), top[1:]
-        rows = [
-            [(x + f * y) % p for x, y in zip(r[1:], tail)] if (f := r[0] * inv % p) else r[1:]
-            for r in rows
-        ]
+        if top:
+            rows.remove(top)
+        elif (slack := slack - 1) < 0:
+            return False
+        inv, tail = (p - pow(top[0], -1, p), top[1:]) if top else (0, ())
+        rows = [[(x + f * y) % p for x, y in zip(r[1:], tail)] if (f := r[0] * inv % p)
+                else r[1:] for r in rows]
     return True
 
 
 def nm_rank(A):
     """Ranks of the two split components plus invertibility over K(I)."""
     # full rank mod p is certified; Bareiss ranks the rest, on a copy of the shared rows
-    r1, r2 = (
-        min(A.rows, A.cols) if _full_rank_mod_p(rows) else _echelon(list(map(list, rows)))[0]
-        for rows in A._split_rows()[:2]
-    )
+    full = min(A.rows, A.cols)
+    r1, r2 = (full if _full_rank_mod_p(rows) else _echelon(list(map(list, rows)))[0]
+              for rows in A._split_rows()[:2])
     invertible = A.rows == A.cols and r1 == A.rows and r2 == A.rows
     return r1, r2, invertible
 
