@@ -13,9 +13,13 @@ Products use the same split, since it turns (a+bI)(c+dI) into the
 componentwise product (ac, (a+b)(c+d)): each row of the left operand and
 each column of the right one is scaled to integers by one lcm, the two
 components are multiplied with plain integer sums, and every entry is
-rescaled once into exact Fractions before it is unsplit.  A matrix builds
-the split of its rows and of its columns once, on first use, and shares it
-with every product, rank and map run that reads it.
+rescaled once into exact Fractions before it is unsplit.  A product of at
+least 4 rows and columns and 48 entries, whose integer dot products all fit
+signed fields of at most 8 bytes, is packed (Kronecker substitution): each
+row of the right operand becomes one big integer with a field per output
+column, so an output row is one big-integer dot product cut into its
+fields.  A matrix builds the split of its rows and of its columns once, on
+first use, and shares it with every product, rank and map run that reads it.
 
 The paper's fixed value sets live here too, with their one entry check
 and one sign-label table: map weights in {-1, 0, 1, I}, and activations
@@ -24,8 +28,11 @@ and neutrosophic adjacency entries in {0, 1, I}.
 
 import math
 import re
+import sys
+from array import array
 from fractions import Fraction
-from operator import attrgetter, mul
+from itertools import chain
+from operator import attrgetter, lshift, mul
 
 
 class ShapeError(ValueError):
@@ -52,6 +59,7 @@ _TOKEN_RE = re.compile(
     "|(?P<ronly>[+-]?{n})"
     ")".format(n=_NUM)
 )
+_NUM_RE = re.compile("[+-]?" + _NUM)
 
 
 def _render_fraction(f):
@@ -75,11 +83,16 @@ def _render_fraction(f):
 
 
 def _render_number(a, b):
-    """a+bI as text; as `_rational` reads it, a coefficient of +-1 is its sign alone."""
-    if b == 0:
+    """a+bI as text; as `_rational` reads it, a coefficient of +-1 is its sign alone.
+
+    a and b are Fractions or ints, read through their integer numerators and denominators."""
+    if not b.numerator:
         return _render_fraction(a)
-    tail = "I" if b == 1 else "-I" if b == -1 else _render_fraction(b) + "I"
-    if a == 0:
+    if b.denominator == 1 and b.numerator in (1, -1):
+        tail = "I" if b.numerator == 1 else "-I"
+    else:
+        tail = _render_fraction(b) + "I"
+    if not a.numerator:
         return tail
     return _render_fraction(a) + ("" if tail[0] == "-" else "+") + tail
 
@@ -89,8 +102,10 @@ def _coerce_fraction(x):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, str):  # one signed number of the token grammar
+        if not _NUM_RE.fullmatch(x):
+            raise ParseError("bad number %r" % (x,))
+        return _rational(x)
     raise TypeError("expected a rational, got %r" % (x,))
 
 
@@ -191,11 +206,11 @@ class NeutroNumber:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        try:
-            other = _as_nn(other)
-        except TypeError:
-            return NotImplemented
-        return self.real == other.real and self.indet == other.indet
+        if isinstance(other, NeutroNumber):
+            return self.real == other.real and self.indet == other.indet
+        if isinstance(other, (int, Fraction)):
+            return not self.indet and self.real == other
+        return NotImplemented
 
     def __hash__(self):
         if self.indet == 0:
@@ -210,6 +225,17 @@ class NeutroNumber:
 
     def __repr__(self):
         return "NeutroNumber('%s')" % (self,)
+
+
+_new = object.__new__
+
+
+def _exact(real, indet):
+    """The NeutroNumber real + indet*I from two Fractions, taken unchecked."""
+    x = _new(NeutroNumber)
+    x.real = real
+    x.indet = indet
+    return x
 
 
 def _as_nn(x):
@@ -257,7 +283,7 @@ def nn_mul(x, y):
 
 
 def _rational(text):
-    """The exact value of a signed `_NUM`, built from its integer digits;
+    """The exact Fraction of a signed `_NUM`, built from its integer digits;
     as a coefficient of I, nothing or a bare sign means +-1."""
     if "/" in text:
         num, den = text.split("/")
@@ -265,19 +291,36 @@ def _rational(text):
     whole, dot, frac = text.partition(".")
     if dot:
         return Fraction(int(whole + frac), 10 ** len(frac))
-    return int(text + "1" if text in ("", "+", "-") else text)
+    return Fraction(int(text + "1" if text in ("", "+", "-") else text))
+
+
+class _Numbers(dict):
+    """Number text -> its `_rational` value, each text parsed once per parse."""
+
+    def __missing__(self, text):
+        value = self[text] = _rational(text)
+        return value
+
+
+_FRACTION_ZERO = Fraction(0)
+
+
+def _parse_token(token, numbers):
+    """The NeutroNumber of a value token, its number texts read through `numbers`."""
+    m = _TOKEN_RE.fullmatch(token.strip())
+    if not m:
+        raise ParseError("bad value token %r" % (token,))
+    ra, ib, ionly, ronly = m.groups()
+    if ronly is not None:
+        return _exact(numbers[ronly], _FRACTION_ZERO)
+    if ionly is not None:
+        return _exact(_FRACTION_ZERO, numbers[ionly])
+    return _exact(numbers[ra], numbers[ib])
 
 
 def parse_number(token):
     """Parse a token like '2', '-I', '0.5I', '-1+4I', '1/3-2I'."""
-    m = _TOKEN_RE.fullmatch(token.strip())
-    if not m:
-        raise ParseError("bad value token %r" % (token,))
-    if m.group("ronly") is not None:
-        return NeutroNumber(_rational(m.group("ronly")))
-    if m.group("ionly") is not None:
-        return NeutroNumber(0, _rational(m.group("ionly")))
-    return NeutroNumber(_rational(m.group("ra")), _rational(m.group("ib")))
+    return _parse_token(token, _Numbers())
 
 
 class SplitPair(_Record):
@@ -302,7 +345,16 @@ class NeutroMatrix(_Value):
     __slots__ = ("rows", "cols", "_rows", "_row_split", "_col_split")
 
     def __init__(self, rows):
-        data = tuple(tuple(_as_nn(e) for e in row) for row in rows)
+        self._set_rows(tuple(tuple(map(_as_nn, row)) for row in rows))
+
+    @classmethod
+    def _of(cls, rows):
+        """The matrix of `rows`, a tuple of tuples of NeutroNumbers, kept as it is."""
+        M = _new(cls)
+        M._set_rows(rows)
+        return M
+
+    def _set_rows(self, data):
         if not data or not data[0]:
             raise ShapeError("a matrix needs at least one row and column")
         width = len(data[0])
@@ -354,7 +406,7 @@ class NeutroMatrix(_Value):
         return nm_mul(self, other)
 
     def transpose(self):
-        return NeutroMatrix(list(zip(*self._rows)))
+        return NeutroMatrix._of(tuple(zip(*self._rows)))
 
     def map_entries(self, fn):
         return NeutroMatrix([[fn(e) for e in row] for row in self._rows])
@@ -366,6 +418,44 @@ class NeutroMatrix(_Value):
         return "NeutroMatrix(%dx%d)" % (self.rows, self.cols)
 
 
+# a product packs when its output has this many rows and columns and this many
+# entries: there packing beats one sum per entry, whatever the inner dimension
+_PACK_MIN_SIDE, _PACK_MIN_ENTRIES = 4, 48
+# signed array type codes by item size in bytes: the widths a packed field can take
+_FIELD_CODES = {array(code).itemsize: code for code in "bhilq"}
+
+
+def _dot_products(rows, cols):
+    """[[x . y for y in cols] for x in rows] for integer vectors of one length k.
+
+    A product large enough to pack (above) whose every |x . y| < 2**(w-1) for
+    a field of w <= 64 bits goes by Kronecker substitution: row t of cols is
+    packed into sum_j cols[j][t] * 2**(w*j), so sum_t x[t] * packed[t] holds
+    x . cols[j] in field j.  Adding 2**(w-1) to every field keeps the fields
+    free of borrows, and flipping that bit back leaves each field in two's
+    complement, which an array of w-bit signed items reads in one pass.
+    """
+    m, c = len(rows), len(cols)
+    size = None
+    if min(m, c) >= _PACK_MIN_SIDE and m * c >= _PACK_MIN_ENTRIES:
+        top = [max(map(abs, chain.from_iterable(v))) for v in (rows, cols)]
+        bits = (len(cols[0]) * top[0] * top[1]).bit_length()
+        size = min((s for s in _FIELD_CODES if bits < 8 * s), default=None)
+    if size is None:
+        return [[sum(map(mul, x, y)) for y in cols] for x in rows]
+    width = 8 * size
+    packed = [sum(map(lshift, t, range(0, width * c, width))) for t in zip(*cols)]
+    bias = int.from_bytes((b"\x80" + bytes(size - 1)) * c, "big")
+    out = []
+    for x in rows:
+        word = (sum(map(mul, x, packed)) + bias) ^ bias
+        fields = array(_FIELD_CODES[size], word.to_bytes(size * c, "little"))
+        if sys.byteorder == "big":
+            fields.byteswap()
+        out.append(fields)
+    return out
+
+
 def nm_mul(A, B):
     """Exact product over K(I) by the integer split kernel (module docstring)."""
     if A.cols != B.rows:
@@ -374,18 +464,11 @@ def nm_mul(A, B):
         )
     a1, a2, s = A._split_rows()
     b1, b2, t = B._split_cols()
-    out = []
-    for x1, x2, si in zip(a1, a2, s):
-        row = []
-        for y1, y2, tj in zip(b1, b2, t):
-            first = sum(map(mul, x1, y1))
-            second = sum(map(mul, x2, y2))
-            scale = si * tj
-            row.append(
-                NeutroNumber(Fraction(first, scale), Fraction(second - first, scale))
-            )
-        out.append(row)
-    return NeutroMatrix(out)
+    return NeutroMatrix._of(tuple([
+        tuple([_exact(Fraction(f, scale), Fraction(g - f, scale))
+               for f, g, scale in zip(fs, gs, map(si.__mul__, t))])
+        for fs, gs, si in zip(_dot_products(a1, b1), _dot_products(a2, b2), s)
+    ]))
 
 
 def nm_transpose(A):
@@ -508,16 +591,16 @@ def meaningful_lines(text):
 
 def matrix_from_lines(numbered, empty_message):
     """Rows of comma-separated value tokens, given as (line number, line)."""
-    rows = []
+    numbers, rows = _Numbers(), []
     for no, line in numbered:
         try:
-            rows.append([parse_number(tok) for tok in line.split(",")])
+            rows.append(tuple([_parse_token(tok, numbers) for tok in line.split(",")]))
         except ParseError as exc:
             raise ParseError("line %d: %s" % (no, exc)) from None
     if not rows:
         raise ParseError(empty_message)
     try:
-        return NeutroMatrix(rows)
+        return NeutroMatrix._of(tuple(rows))
     except ShapeError as exc:
         raise ParseError(str(exc)) from None
 

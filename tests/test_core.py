@@ -6,6 +6,7 @@ import os
 import pickle
 import re
 import sys
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,26 @@ class TestScalar:
         assert 1 + I == nn(1, 1)
         assert nn(5) - 5 == ZERO
 
+    def test_strings_never_compare_equal(self):
+        """Equality takes numbers only, so it agrees with the hash: "1" is text, not ONE."""
+        for text in ("1", "hello", "I", ""):
+            assert ONE.__eq__(text) is NotImplemented
+            assert ONE != text and not ONE == text and not text == ONE
+        assert ONE in ["hello", ONE] and "1" not in [ONE] and {ONE: 1}.get("1") is None
+        assert ONE == 1 == nn(Fraction(2, 2)) and nn(Fraction(1, 2)) == Fraction(1, 2)
+        assert I != 0 and I != 1
+
+    def test_string_parts_follow_the_token_grammar(self):
+        assert NeutroNumber(0, "1/2") == nn(0, Fraction(1, 2))
+        assert NeutroNumber(1, "0.25") == nn(1, Fraction(1, 4))
+        assert NeutroNumber("-3", 0) == nn(-3)  # the token form
+        assert NeutroNumber(0, "-٣") == nn(0, -3)
+        for x in (NeutroNumber(0, "1/2"), NeutroNumber(1, "7")):
+            assert type(x.real) is Fraction and type(x.indet) is Fraction
+        for bad in ("1e3", "1_0", " 1/2 ", "1/2 ", "", "+", "I", "1/0", "inf", "nan", "0x1"):
+            with pytest.raises(ParseError, match="bad number"):
+                NeutroNumber(0, bad)
+
     @given(numbers_st, numbers_st, numbers_st)
     def test_ring_axioms(self, x, y, z):
         assert x + y == y + x
@@ -194,6 +215,21 @@ class TestSplit:
         assert (split(one_minus).first, split(one_minus).second) == (1, 0)
 
 
+def random_entry(rng, num, den, zero_share):
+    """a+bI, each part k/d with |k| <= num and 1 <= d <= den, or 0 with chance zero_share."""
+    def part():
+        if rng.random() < zero_share:
+            return 0
+        return Fraction(rng.randint(-num, num), rng.randint(1, den))
+
+    return nn(part(), part())
+
+
+# a 7x7 matrix: its square is a packed product
+PACKED_TEXT = "\n".join(
+    ", ".join("%d/%d-%dI" % (i + j, j + 1, i) for j in range(7)) for i in range(7))
+
+
 class TestMatrix:
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
@@ -231,26 +267,91 @@ class TestMatrix:
         ]
         assert got == expect
 
-    @settings(deadline=None, max_examples=50)  # up to 72 drawn rationals each
-    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.data())
-    def test_mul_matches_pair_oracle_on_rectangular_shapes(self, r, k, c, data):
-        entry = st.one_of(
-            st.just(ZERO), st.just(I), st.just(-I),
-            st.builds(NeutroNumber, st.just(0), fractions_st),  # pure multiples of I
-            numbers_st,
-        )
-        A = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=r, max_size=r))
-        B = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=k, max_size=k))
-        if data.draw(st.booleans()):
-            A[data.draw(st.integers(0, r - 1))] = [ZERO] * k
-        if data.draw(st.booleans()):
-            j = data.draw(st.integers(0, c - 1))
+    # entry makers by size: signs, rationals up to 50/12, and numerators up to
+    # 10**12 over denominators up to 10**6, whose scaled dot products pass 2**63
+    ENTRY_SIZES = {
+        "signs": lambda rng: rng.choice((ZERO, ONE, -ONE, I, -I, ONE - I)),
+        "small": lambda rng: random_entry(rng, 50, 12, zero_share=0.25),
+        "large": lambda rng: random_entry(rng, 10**12, 10**6, zero_share=0),
+    }
+
+    @settings(deadline=None, max_examples=60)  # up to 480 entries each
+    @given(st.integers(1, 12), st.integers(1, 20), st.integers(1, 12),
+           st.sampled_from(sorted(ENTRY_SIZES)), st.randoms(use_true_random=False), st.data())
+    def test_mul_matches_pair_oracle_on_rectangular_shapes(self, r, k, c, size, rng, data):
+        """Shapes on both sides of the packed kernel's threshold, k = 1, zero
+        rows, columns and operands, and dot products past 2**63."""
+        entry = lambda: self.ENTRY_SIZES[size](rng)
+        A = [[entry() for _ in range(k)] for _ in range(r)]
+        B = [[entry() for _ in range(c)] for _ in range(k)]
+        zeros = data.draw(st.sampled_from(["none", "row", "column", "left", "right"]))
+        if zeros == "row":
+            A[rng.randrange(r)] = [ZERO] * k
+        elif zeros == "column":
+            j = rng.randrange(c)
             for row in B:
                 row[j] = ZERO
+        elif zeros in ("left", "right"):
+            for row in A if zeros == "left" else B:
+                row[:] = [ZERO] * len(row)
         pairs = lambda M: [[(e.real, e.indet) for e in row] for row in M]
         C = nm_mul(NeutroMatrix(A), NeutroMatrix(B))
         assert (C.rows, C.cols) == (r, c)
         assert pairs(C) == oracles.pmat_mul(pairs(A), pairs(B))
+
+    @pytest.mark.parametrize("shape, packed", [
+        ((4, 3, 12), True), ((12, 1, 4), True), ((7, 20, 7), True), ((8, 1, 8), True),
+        ((3, 20, 16), False), ((16, 5, 3), False), ((6, 9, 6), False), ((1, 20, 64), False),
+    ])
+    def test_dot_products_pack_by_output_shape(self, shape, packed):
+        m, k, c = shape
+        rows = [[(i * 7 + t * 3) % 11 - 5 for t in range(k)] for i in range(m)]
+        cols = [[(j * 5 + t) % 9 - 4 for t in range(k)] for j in range(c)]
+        out = core._dot_products(rows, cols)
+        assert isinstance(out[0], array) == packed
+        assert [list(r) for r in out] == [[sum(map(int.__mul__, x, y)) for y in cols] for x in rows]
+
+    @pytest.mark.parametrize("top, size", [
+        (127, 1), (128, 2), (2**15 - 1, 2), (2**15, 4), (2**31 - 1, 4), (2**31, 8),
+        (2**63 - 1, 8), (2**63, None),
+    ])
+    def test_packed_fields_widen_with_the_largest_product(self, top, size):
+        """With k = 1 the bound is the largest |product|, here |top|: the largest
+        magnitude a field holds, or one more."""
+        rows = [[top], [-top], [1], [-1], [0], [1], [2], [3]]
+        cols = [[1], [-1], [0]] * 3
+        out = core._dot_products(rows, cols)
+        assert (out[0].itemsize if isinstance(out[0], array) else None) == size
+        assert [list(r) for r in out] == [[sum(map(int.__mul__, x, y)) for y in cols] for x in rows]
+        assert max(max(map(abs, r)) for r in out) == abs(top)
+
+    @pytest.mark.parametrize("build", [
+        lambda: nm_mul(parse_matrix(PACKED_TEXT), parse_matrix(PACKED_TEXT)),
+        lambda: nm_mul(parse_matrix("1, I\n2-6I, 0"), parse_matrix("1/2, 0, I\n-I, 3, 0.25")),
+        lambda: parse_matrix(PACKED_TEXT).transpose(),
+        lambda: parse_matrix("# c\n1, I, 1/2\n2-6I, 0, -I\n"),
+    ], ids=["packed-product", "entrywise-product", "transpose", "parse"])
+    def test_built_once_matches_the_public_constructor(self, build):
+        """A product, transpose or parse keeps its entries as built; the result
+        is the matrix the public constructors give, splits not yet built."""
+        M = build()
+        twin = NeutroMatrix([[NeutroNumber(e.real, e.indet) for e in row] for row in M])
+        assert M._row_split is None and M._col_split is None
+        assert M == twin and hash(M) == hash(twin) and repr(M) == repr(twin)
+        assert pickle.dumps(M) == pickle.dumps(twin)
+        assert all(type(e) is NeutroNumber and type(e.real) is type(e.indet) is Fraction
+                   for row in M for e in row)
+        nm_rank(M)
+        assert M._row_split == twin._split_rows() and M._col_split is None
+
+    def test_parse_reads_each_number_text_once(self, monkeypatch):
+        seen = []
+        rational = core._rational
+        monkeypatch.setattr(core, "_rational", lambda text: seen.append(text) or rational(text))
+        A = parse_matrix("1/2, 1/2+I, -I\n1/2I, I, 0.5")
+        assert sorted(seen) == sorted(["1/2", "+", "-", "", "0.5"])
+        assert A == NeutroMatrix([[nn(Fraction(1, 2)), nn(Fraction(1, 2), 1), -I],
+                                  [nn(0, Fraction(1, 2)), I, nn(Fraction(1, 2))]])
 
     def test_rank_and_invertibility(self):
         assert nm_rank(NeutroMatrix.identity(3)) == (3, 3, True)
