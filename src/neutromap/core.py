@@ -18,8 +18,8 @@ least 4 rows and columns and 48 entries, whose integer dot products all fit
 signed fields of at most 8 bytes, is packed (Kronecker substitution): each
 row of the right operand becomes one big integer with a field per output
 column, so an output row is one big-integer dot product cut into its
-fields.  A matrix builds the split of its rows and of its columns once, on
-first use, and shares it with every product, rank and map run that reads it.
+fields.  A matrix splits its rows and its columns once, on first use, for
+every product, rank and map run, and its transpose carries both, swapped.
 
 The paper's fixed value sets live here too, with their one entry check
 and one sign-label table: map weights in {-1, 0, 1, I}, and activations
@@ -32,7 +32,7 @@ import sys
 from array import array
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter, lshift, mul
+from operator import add, attrgetter, lshift, mul
 
 
 class ShapeError(ValueError):
@@ -59,7 +59,6 @@ _TOKEN_RE = re.compile(
     "|(?P<ronly>[+-]?{n})"
     ")".format(n=_NUM)
 )
-_NUM_RE = re.compile("[+-]?" + _NUM)
 
 
 def _render_fraction(f):
@@ -103,7 +102,8 @@ def _coerce_fraction(x):
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):  # one signed number of the token grammar
-        if not _NUM_RE.fullmatch(x):
+        m = _TOKEN_RE.fullmatch(x)
+        if not m or m["ronly"] is None:
             raise ParseError("bad number %r" % (x,))
         return _rational(x)
     raise TypeError("expected a rational, got %r" % (x,))
@@ -338,6 +338,22 @@ def unsplit(p):
     return NeutroNumber(p.first, p.second - p.first)
 
 
+def _split(vectors):
+    """The integer split (firsts, seconds, scales) of a+bI vectors, in tuples that
+    readers share: firsts[i] and seconds[i] are vector i's components (a...) and
+    (a+b...) times scales[i], the lcm of all its denominators, which keeps the rank."""
+    firsts, seconds, scales = [], [], []
+    for v in vectors:
+        parts = [x.real for x in v] + [x.indet for x in v]
+        scale = math.lcm(*[x.denominator for x in parts])
+        ints = [x.numerator * (scale // x.denominator) for x in parts]
+        k = len(v)
+        firsts.append(tuple(ints[:k]))
+        seconds.append(tuple(map(add, ints[:k], ints[k:])))
+        scales.append(scale)
+    return tuple(firsts), tuple(seconds), tuple(scales)
+
+
 class NeutroMatrix(_Value):
     """Dense rectangular matrix of NeutroNumbers (at least 1x1)."""
 
@@ -385,15 +401,15 @@ class NeutroMatrix(_Value):
         return iter(self._rows)
 
     def _split_rows(self):
-        """The `_shared_split` of the rows, built on first use."""
+        """The `_split` of the rows, built on first use."""
         if self._row_split is None:
-            self._row_split = _shared_split(self._rows)
+            self._row_split = _split(self._rows)
         return self._row_split
 
     def _split_cols(self):
-        """The `_shared_split` of the columns, built on first use."""
+        """The `_split` of the columns, built on first use."""
         if self._col_split is None:
-            self._col_split = _shared_split(zip(*self._rows))
+            self._col_split = _split(zip(*self._rows))
         return self._col_split
 
     def _key(self):
@@ -406,7 +422,11 @@ class NeutroMatrix(_Value):
         return nm_mul(self, other)
 
     def transpose(self):
-        return NeutroMatrix._of(tuple(zip(*self._rows)))
+        """The transpose, carrying this matrix's splits swapped: its row split,
+        which its first product reads, is the column split, built here if need be."""
+        T = NeutroMatrix._of(tuple(zip(*self._rows)))
+        T._row_split, T._col_split = self._split_cols(), self._row_split
+        return T
 
     def map_entries(self, fn):
         return NeutroMatrix([[fn(e) for e in row] for row in self._rows])
@@ -499,40 +519,6 @@ def _echelon(rows):
         prev = top[col]
         rank += 1
     return rank, sign * prev
-
-
-def _integer_rows(rows):
-    """Each row of rationals times the lcm of its denominators, and that lcm.
-
-    Returns (integer rows, scales); scaling a row keeps the rank.
-    """
-    out, scales = [], []
-    for xs in rows:
-        scale = math.lcm(*(x.denominator for x in xs))
-        out.append([x.numerator * (scale // x.denominator) for x in xs])
-        scales.append(scale)
-    return out, scales
-
-
-def _split_integer_rows(rows):
-    """Split a+bI rows into integer rows (a...) and (a+b...) with one scale each.
-
-    Each row's real and indeterminate parts share one lcm, so both split
-    components of row i are its exact values times scales[i].
-    """
-    ints, scales = _integer_rows(
-        [[e.real for e in r] + [e.indet for e in r] for r in rows]
-    )
-    k = len(ints[0]) // 2
-    firsts = [r[:k] for r in ints]
-    seconds = [[a + b for a, b in zip(r[:k], r[k:])] for r in ints]
-    return firsts, seconds, scales
-
-
-def _shared_split(vectors):
-    """`_split_integer_rows` frozen into tuples, so no caller can change a shared split."""
-    firsts, seconds, scales = _split_integer_rows(vectors)
-    return tuple(map(tuple, firsts)), tuple(map(tuple, seconds)), tuple(scales)
 
 
 # a prime below 2**30, so every residue is one CPython digit

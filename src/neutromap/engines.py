@@ -31,7 +31,7 @@ from .core import (
     _check_entries,
     _check_guard,
     _entry_error,
-    _split_integer_rows,
+    _split,
 )
 
 BALANCE_GUARD = 12  # concepts for the simple-path search in balance
@@ -174,7 +174,7 @@ def _clampfix(state, clamp):
 
 def _update(state, split, clamp):
     """threshold(state . v) per v of a weight split (scales > 0), clamp forced to 1."""
-    (x1,), (x2,), _ = _split_integer_rows((state,))
+    (x1,), (x2,), _ = _split((state,))
     firsts, seconds, _ = split
     raw = ((sum(map(mul, x1, y1)), sum(map(mul, x2, y2))) for y1, y2 in zip(firsts, seconds))
     return _clampfix(tuple(_sign_rule(*pair) for pair in raw), clamp)

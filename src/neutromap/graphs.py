@@ -20,8 +20,9 @@ and a vertex of degree below 2 answers "not Hamiltonian" without a search.
 The circumference and Hamiltonian cycles share one iterative search over
 (vertex set, end) states; chromatic number and index run desk-scale
 backtracking.  Every exponential search sits behind a size guard, and so do
-the edge count of a generated graph and the n x n distance table, Tutte
-names and Laplacian.
+the edge count of a generated graph, the n x n distance table, Tutte names
+and Laplacian, the n x m work of the distance searches, and the printed size
+of a chromatic polynomial.
 """
 
 from itertools import combinations, starmap, zip_longest
@@ -131,8 +132,11 @@ FAMILIES = {
 }
 GENERATOR_GUARD = 10 ** 6  # edges of a generated graph
 DISTANCE_GUARD = 4 * 10 ** 6  # entries of the n x n distance table of metrics
+DISTANCE_SEARCH_GUARD = 10 ** 8  # n * m: the edges visited by the n searches of metrics
 TUTTE_GUARD = 4 * 10 ** 6  # entries of the n x n matrix of names of tutte
 LAPLACIAN_GUARD = 4 * 10 ** 6  # entries of the n x n Laplacian of spanning_tree_count
+# (n + 1) * m bits: the n + 1 coefficients of chromatic_polynomial, each <= 2**m
+CHROMATIC_SIZE_GUARD = 10 ** 8
 
 
 def generate(kind, *params):
@@ -264,6 +268,7 @@ class MetricsReport(_Record):
 def metrics(G):
     n = G.vertex_count
     _check_guard("distance table", n * n, "entries", DISTANCE_GUARD)
+    _check_guard("distance search", n * G.m, "edge visits", DISTANCE_SEARCH_GUARD)
     nbrs = G.view()[1]
     dists = tuple(tuple(_bfs_dist(n, nbrs, s)) for s in range(n))
 
@@ -607,19 +612,17 @@ def coloring(G):
     """Exact chromatic number and chromatic index with assignments."""
     if any(u == v for u, v in G.edges):
         raise ValueError("coloring is undefined on graphs with loops")
-    n = G.vertex_count
-    _check_guard("vertex coloring", n, "vertices", COLORING_VERTEX_GUARD)
     chi, vcolors = _chromatic(G)
-
-    _check_guard("edge coloring", len(G.edges), "edges", COLORING_EDGE_GUARD)
     chi_e, ecolors = _edge_chromatic(G)
     return ColoringReport(chi, tuple(vcolors), chi_e, tuple(ecolors))
 
 
 def _chromatic(H):
     """Chromatic number and a least coloring of a loopless graph H (parallel
-    edges are read once through the view's distinct neighbours)."""
+    edges are read once through the view's distinct neighbours), behind
+    COLORING_VERTEX_GUARD."""
     n = H.vertex_count
+    _check_guard("vertex coloring", n, "vertices", COLORING_VERTEX_GUARD)
     if n == 0:
         return 0, []
     if not H.edges:
@@ -678,7 +681,9 @@ def _greedy_clique(n, adj):
 
 
 def _edge_chromatic(G):
+    """Chromatic index and a least edge coloring of a loopless G, behind COLORING_EDGE_GUARD."""
     m = G.m
+    _check_guard("edge coloring", m, "edges", COLORING_EDGE_GUARD)
     if m == 0:
         return 0, []
     delta = max(G.degrees())
@@ -787,13 +792,17 @@ def chromatic_polynomial(G):
     edge uw at its lowest vertex u: P(G) = P(G - uw) - P(G / uw).  Labels
     follow ascending degree, so the first branch is at a minimum-degree
     vertex.  The branches run on an explicit stack over a memo of states,
-    so no recursion grows with the graph; CHROMATIC_GUARD bounds the memo.
+    so no recursion grows with the graph; CHROMATIC_GUARD bounds the memo,
+    and CHROMATIC_SIZE_GUARD the coefficients, before any state is built.
     Per state: one `_branch` (two peels) and one subtraction of coefficient lists.
     """
     if not G.is_simple():
         raise ValueError("chromatic polynomial is computed for simple graphs")
+    n = G.vertex_count
+    _check_guard("chromatic polynomial size", (n + 1) * G.m, "coefficient bits",
+                 CHROMATIC_SIZE_GUARD)
     nbrs = G.view()[1]
-    order = sorted(range(G.vertex_count), key=lambda v: len(nbrs[v]))
+    order = sorted(range(n), key=lambda v: len(nbrs[v]))
     label = {v: i for i, v in enumerate(order)}
     masks = [sum(1 << label[x] for x in nbrs[v]) for v in order]
     peeled, root = _peel(masks, (1 << len(masks)) - 1, [])

@@ -303,7 +303,6 @@ def neutro_coloring(G):
         for u, v, t in G.edges
         if t == "R" and not G.is_indet_vertex(u) and not G.is_indet_vertex(v)
     }
-    _check_guard("vertex coloring", G.n_real, "vertices", graphs.COLORING_VERTEX_GUARD)
     chi, real_colors = graphs._chromatic(graphs.Graph(G.n_real, real_edges))
     vertex_colors = tuple(
         real_colors[v] if v < G.n_real else 0 for v in range(n)
@@ -318,7 +317,6 @@ def neutro_coloring(G):
             copies[u, v] = copies.get((u, v), 0) - 1
             slots[i] = ((u, v) if u < v else (v, u), copies[u, v])
     real_sub = sorted(set(slots.values()))
-    _check_guard("edge coloring", len(real_sub), "edges", graphs.COLORING_EDGE_GUARD)
     sub = graphs.Graph(n, [e for e, _k in real_sub], allow_multi=True)
     chi_e, sub_colors = graphs._edge_chromatic(sub)
     color_of = dict(zip(real_sub, sub_colors))

@@ -251,6 +251,31 @@ class TestExitCodes:
         assert (r.returncode, r.stdout) == (4, "")
         assert r.stderr == "error: laplacian guard: %d entries exceeds 4000000\n" % (n * n)
 
+    @pytest.mark.parametrize("family", ["path", "star"])
+    def test_polynomial_size_guard(self, python_child, family):
+        # n + 1 coefficients of up to 10^5 bits each would not fit under this cap
+        r = python_child(
+            "-c", CAPPED_CLI, "graph", "analyze", "%s-100000" % family, "--polynomial",
+            timeout=20,
+        )
+        n = 100000 + (family == "star")  # a tree: n - 1 edges
+        assert (r.returncode, r.stdout) == (4, "")
+        assert r.stderr == (
+            "error: chromatic polynomial size guard: %d coefficient bits exceeds 100000000\n"
+            % ((n + 1) * (n - 1))
+        )
+
+    def test_distance_search_guard(self, python_child):
+        # the 1,960,000 distances of K1400 pass the table guard; its n * m searches do not
+        r = python_child(
+            "-c", CAPPED_CLI, "graph", "analyze", "complete-1400", "--metrics",
+            timeout=20,
+        )
+        assert (r.returncode, r.stdout) == (4, "")
+        assert r.stderr == (
+            "error: distance search guard: 1371020000 edge visits exceeds 100000000\n"
+        )
+
     def test_model_order_guard(self, python_child, tmp_path):
         # one edge, but 10^9 declared vertices would not fit under this cap
         big = tmp_path / "big.model"

@@ -325,18 +325,21 @@ class TestMatrix:
         assert [list(r) for r in out] == [[sum(map(int.__mul__, x, y)) for y in cols] for x in rows]
         assert max(max(map(abs, r)) for r in out) == abs(top)
 
-    @pytest.mark.parametrize("build", [
-        lambda: nm_mul(parse_matrix(PACKED_TEXT), parse_matrix(PACKED_TEXT)),
-        lambda: nm_mul(parse_matrix("1, I\n2-6I, 0"), parse_matrix("1/2, 0, I\n-I, 3, 0.25")),
-        lambda: parse_matrix(PACKED_TEXT).transpose(),
-        lambda: parse_matrix("# c\n1, I, 1/2\n2-6I, 0, -I\n"),
+    @pytest.mark.parametrize("build, carried", [
+        (lambda: nm_mul(parse_matrix(PACKED_TEXT), parse_matrix(PACKED_TEXT)), False),
+        (lambda: nm_mul(parse_matrix("1, I\n2-6I, 0"), parse_matrix("1/2, 0, I\n-I, 3, 0.25")),
+         False),
+        (lambda: parse_matrix(PACKED_TEXT).transpose(), True),
+        (lambda: parse_matrix("# c\n1, I, 1/2\n2-6I, 0, -I\n"), False),
     ], ids=["packed-product", "entrywise-product", "transpose", "parse"])
-    def test_built_once_matches_the_public_constructor(self, build):
+    def test_built_once_matches_the_public_constructor(self, build, carried):
         """A product, transpose or parse keeps its entries as built; the result
-        is the matrix the public constructors give, splits not yet built."""
+        is the matrix the public constructors give, splits not yet built but
+        for a transpose's row split, carried from its operand's columns."""
         M = build()
         twin = NeutroMatrix([[NeutroNumber(e.real, e.indet) for e in row] for row in M])
-        assert M._row_split is None and M._col_split is None
+        assert M._row_split == (twin._split_rows() if carried else None)
+        assert M._col_split is None
         assert M == twin and hash(M) == hash(twin) and repr(M) == repr(twin)
         assert pickle.dumps(M) == pickle.dumps(twin)
         assert all(type(e) is NeutroNumber and type(e.real) is type(e.indet) is Fraction
@@ -428,6 +431,14 @@ class TestMatrix:
         fresh = NeutroMatrix(A)
         assert A._split_rows() == fresh._split_rows() and A._split_rows() is A._split_rows()
         assert A._split_cols() == fresh._split_cols()
+
+    def test_transpose_carries_the_splits_swapped(self):
+        A = parse_matrix("1/2, I, 2-6I\n1/3, 0, 1-I")
+        assert A.transpose()._split_rows() is A._split_cols() and A._row_split is None
+        nm_rank(A)
+        T, fresh = A.transpose(), NeutroMatrix(A.transpose())
+        assert T._split_rows() is A._split_cols() and T._split_cols() is A._split_rows()
+        assert (T._split_rows(), T._split_cols()) == (fresh._split_rows(), fresh._split_cols())
 
     def test_built_split_keeps_value_semantics(self):
         text = "1/2, I\n2-6I, 0"

@@ -321,20 +321,20 @@ class TestAgainstPairOracle:
 class TestSplitOnce:
     """W is split once per matrix (its columns, and for rm_run its rows too),
     however many runs from however many starts read it; every other split is
-    of a one-row state."""
+    of a one-row state.  `link` too splits each operand once."""
 
     @pytest.fixture
     def splits(self, monkeypatch):
         calls = []
-        split = core._split_integer_rows
+        split = core._split
 
         def recording(rows):
             rows = tuple(tuple(r) for r in rows)
             calls.append(rows)
             return split(rows)
 
-        monkeypatch.setattr(core, "_split_integer_rows", recording)
-        monkeypatch.setattr(engines, "_split_integer_rows", recording)
+        monkeypatch.setattr(core, "_split", recording)
+        monkeypatch.setattr(engines, "_split", recording)
         return calls
 
     @staticmethod
@@ -374,6 +374,15 @@ class TestSplitOnce:
         nm_mul(model.weights, model.weights)
         nm_rank(model.weights)
         assert len(splits) == calls
+
+    def test_link_scales_each_operand_once(self, splits):
+        """A transpose carries its operand's column split as its row split, so
+        linking the same chain again scales no entry anew."""
+        A, B = nm(goldens.LINK_NE1), nm(goldens.LINK_NE2)  # 7x4, 7x5: through A's transpose
+        raw, _ = link([A, B])
+        assert raw == nm(goldens.LINK_RAW)
+        assert len(splits) == 2  # the columns of A and of B
+        assert link([A, B])[0] == raw and len(splits) == 2
 
 
 class TestDegrade:

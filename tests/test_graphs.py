@@ -217,6 +217,21 @@ class TestMetrics:
         ):
             metrics(Graph(2001))
 
+    def test_distance_search_guard_edge(self, monkeypatch):
+        # complete-500 answers and complete-1400 trips; the table guard is checked first
+        assert 500 * 124750 <= graphs.DISTANCE_SEARCH_GUARD < 1400 * 979300
+        G = generate("petersen")  # 10 x 15 edge visits
+        monkeypatch.setattr(graphs, "DISTANCE_SEARCH_GUARD", 150)
+        assert metrics(G).diameter == 2
+        monkeypatch.setattr(graphs, "DISTANCE_SEARCH_GUARD", 149)
+        with pytest.raises(
+            SizeLimitError, match="^distance search guard: 150 edge visits exceeds 149$",
+        ):
+            metrics(G)
+        monkeypatch.setattr(graphs, "DISTANCE_GUARD", 99)
+        with pytest.raises(SizeLimitError, match="^distance table guard: 100 entries exceeds 99$"):
+            metrics(G)
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 10), st.data())
     def test_girth_matches_networkx(self, n, data):
@@ -738,10 +753,20 @@ class TestColoring:
             coloring(Graph(2, [(0, 0)], allow_loops=True))
 
     def test_guards(self):
-        with pytest.raises(SizeLimitError):
-            coloring(generate("cycle", 15))
-        with pytest.raises(SizeLimitError):
-            coloring(generate("complete-bipartite", 3, 7))  # 21 edges, 10 vertices
+        """Both entry points answer at 14 vertices and 20 edges and trip one
+        above; neutro_coloring counts no indeterminate vertex or edge."""
+        def neutro(G):
+            n = G.vertex_count
+            edges = [(u, v, "R") for u, v in G.edges] + [(0, n, "I")]
+            return ngraph.neutro_coloring(NeutroGraph(n, 1, edges))
+
+        for color in (coloring, neutro):
+            assert color(generate("cycle", 14)).chromatic_number == 2
+            with pytest.raises(SizeLimitError, match="^vertex coloring guard: 15 vertices exceeds 14$"):
+                color(generate("cycle", 15))
+            assert color(generate("complete-bipartite", 4, 5)).edge_chromatic_number == 5
+            with pytest.raises(SizeLimitError, match="^edge coloring guard: 21 edges exceeds 20$"):
+                color(generate("complete-bipartite", 3, 7))  # 21 edges, 10 vertices
 
 
 class TestPolynomial:
@@ -853,6 +878,18 @@ class TestPolynomial:
         ):
             chromatic_polynomial(generate("complete-bipartite", 7, 7))
         assert chromatic_polynomial(generate("complete", 30)).degree == 30
+
+    def test_size_guard_edge(self, monkeypatch):
+        # path-10000 answers and cycle-10000 trips, before any state is built
+        assert 10001 * 9999 <= graphs.CHROMATIC_SIZE_GUARD < 10001 * 10000
+        G = generate("petersen")  # (10 + 1) x 15 bits
+        monkeypatch.setattr(graphs, "CHROMATIC_SIZE_GUARD", 165)
+        assert chromatic_polynomial(G).degree == 10
+        monkeypatch.setattr(graphs, "CHROMATIC_SIZE_GUARD", 164)
+        monkeypatch.setattr(graphs, "_peel", None)
+        with pytest.raises(SizeLimitError, match="^chromatic polynomial size guard: "
+                           "165 coefficient bits exceeds 164$"):
+            chromatic_polynomial(G)
 
     @pytest.mark.parametrize("family, states", [
         (("complete-bipartite", 10, 10), 2121),
