@@ -19,7 +19,8 @@ signed fields of at most 8 bytes, is packed (Kronecker substitution): each
 row of the right operand becomes one big integer with a field per output
 column, so an output row is one big-integer dot product cut into its
 fields.  A matrix splits its rows and its columns once, on first use, for
-every product, rank and map run, and its transpose carries both, swapped.
+every product, rank and map run; its transpose carries the splits already
+built, swapped.
 
 The paper's fixed value sets live here too, with their one entry check
 and one sign-label table: map weights in {-1, 0, 1, I}, and activations
@@ -422,10 +423,9 @@ class NeutroMatrix(_Value):
         return nm_mul(self, other)
 
     def transpose(self):
-        """The transpose, carrying this matrix's splits swapped: its row split,
-        which its first product reads, is the column split, built here if need be."""
+        """The transpose, carrying those of this matrix's splits already built, swapped."""
         T = NeutroMatrix._of(tuple(zip(*self._rows)))
-        T._row_split, T._col_split = self._split_cols(), self._row_split
+        T._row_split, T._col_split = self._col_split, self._row_split
         return T
 
     def map_entries(self, fn):

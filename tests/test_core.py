@@ -325,21 +325,18 @@ class TestMatrix:
         assert [list(r) for r in out] == [[sum(map(int.__mul__, x, y)) for y in cols] for x in rows]
         assert max(max(map(abs, r)) for r in out) == abs(top)
 
-    @pytest.mark.parametrize("build, carried", [
-        (lambda: nm_mul(parse_matrix(PACKED_TEXT), parse_matrix(PACKED_TEXT)), False),
-        (lambda: nm_mul(parse_matrix("1, I\n2-6I, 0"), parse_matrix("1/2, 0, I\n-I, 3, 0.25")),
-         False),
-        (lambda: parse_matrix(PACKED_TEXT).transpose(), True),
-        (lambda: parse_matrix("# c\n1, I, 1/2\n2-6I, 0, -I\n"), False),
+    @pytest.mark.parametrize("build", [
+        lambda: nm_mul(parse_matrix(PACKED_TEXT), parse_matrix(PACKED_TEXT)),
+        lambda: nm_mul(parse_matrix("1, I\n2-6I, 0"), parse_matrix("1/2, 0, I\n-I, 3, 0.25")),
+        lambda: parse_matrix(PACKED_TEXT).transpose(),
+        lambda: parse_matrix("# c\n1, I, 1/2\n2-6I, 0, -I\n"),
     ], ids=["packed-product", "entrywise-product", "transpose", "parse"])
-    def test_built_once_matches_the_public_constructor(self, build, carried):
+    def test_built_once_matches_the_public_constructor(self, build):
         """A product, transpose or parse keeps its entries as built; the result
-        is the matrix the public constructors give, splits not yet built but
-        for a transpose's row split, carried from its operand's columns."""
+        is the matrix the public constructors give, splits not yet built."""
         M = build()
         twin = NeutroMatrix([[NeutroNumber(e.real, e.indet) for e in row] for row in M])
-        assert M._row_split == (twin._split_rows() if carried else None)
-        assert M._col_split is None
+        assert M._row_split is None and M._col_split is None
         assert M == twin and hash(M) == hash(twin) and repr(M) == repr(twin)
         assert pickle.dumps(M) == pickle.dumps(twin)
         assert all(type(e) is NeutroNumber and type(e.real) is type(e.indet) is Fraction
@@ -432,12 +429,19 @@ class TestMatrix:
         assert A._split_rows() == fresh._split_rows() and A._split_rows() is A._split_rows()
         assert A._split_cols() == fresh._split_cols()
 
-    def test_transpose_carries_the_splits_swapped(self):
+    def test_transpose_carries_the_built_splits_swapped(self):
+        """A transpose builds no split of its own operand; it carries the ones
+        already built, swapped, and they equal the splits a fresh twin builds."""
         A = parse_matrix("1/2, I, 2-6I\n1/3, 0, 1-I")
-        assert A.transpose()._split_rows() is A._split_cols() and A._row_split is None
-        nm_rank(A)
+        T = A.transpose()
+        assert T._row_split is None and T._col_split is None
+        T._split_rows()
+        assert A._row_split is None and A._col_split is None
+        cols = A._split_cols()
+        assert A.transpose()._split_rows() is cols and A.transpose()._col_split is None
+        rows = A._split_rows()
         T, fresh = A.transpose(), NeutroMatrix(A.transpose())
-        assert T._split_rows() is A._split_cols() and T._split_cols() is A._split_rows()
+        assert T._split_rows() is cols and T._split_cols() is rows
         assert (T._split_rows(), T._split_cols()) == (fresh._split_rows(), fresh._split_cols())
 
     def test_built_split_keeps_value_semantics(self):

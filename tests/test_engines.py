@@ -339,7 +339,7 @@ class TestSplitOnce:
 
     @staticmethod
     def weight_splits(calls, W):
-        kinds = {tuple(W.transpose()): "columns", tuple(W): "rows"}
+        kinds = {tuple(zip(*W)): "columns", tuple(W): "rows"}
         assert len(kinds) == 2  # W is not symmetric, so the two are told apart
         assert all(len(rows) == 1 or rows in kinds for rows in calls)
         return sorted(kinds[rows] for rows in calls if rows in kinds)
@@ -376,13 +376,16 @@ class TestSplitOnce:
         assert len(splits) == calls
 
     def test_link_scales_each_operand_once(self, splits):
-        """A transpose carries its operand's column split as its row split, so
-        linking the same chain again scales no entry anew."""
+        """One link splits A's columns (as its transpose's rows) and B's columns
+        once each; a column split A has already built, its transpose carries."""
         A, B = nm(goldens.LINK_NE1), nm(goldens.LINK_NE2)  # 7x4, 7x5: through A's transpose
         raw, _ = link([A, B])
         assert raw == nm(goldens.LINK_RAW)
-        assert len(splits) == 2  # the columns of A and of B
-        assert link([A, B])[0] == raw and len(splits) == 2
+        assert splits == [tuple(zip(*A)), tuple(zip(*B))]
+        A, B = nm(goldens.LINK_NE1), nm(goldens.LINK_NE2)
+        A._split_cols()
+        del splits[:]
+        assert link([A, B])[0] == raw and splits == [tuple(zip(*B))]
 
 
 class TestDegrade:
