@@ -11,16 +11,18 @@ elimination, which the spanning-tree count keeps for its determinant; so the
 modular pass saves time on full-rank components and adds to rank-deficient ones.
 Products use the same split, since it turns (a+bI)(c+dI) into the
 componentwise product (ac, (a+b)(c+d)): each row of the left operand and
-each column of the right one is scaled to integers by one lcm, the two
-components are multiplied with plain integer sums, and every entry is
-rescaled once into exact Fractions before it is unsplit.  A product of at
-least 4 rows and columns and 48 entries, whose integer dot products all fit
-signed fields of at most 8 bytes, is packed (Kronecker substitution): each
-row of the right operand becomes one big integer with a field per output
-column, so an output row is one big-integer dot product cut into its
-fields.  A matrix splits its rows and its columns once, on first use, for
-every product, rank and map run; its transpose carries the splits already
-built, swapped.
+each column of the right one is scaled to integers by one lcm, and the two
+components are multiplied with plain integer sums.  The product keeps that
+scaled form (F, G, s, t), s the left rows' scales and t the right columns':
+entry (i, j) splits to (F[i][j], G[i][j]) / (s[i]*t[j]).  Until the first
+read builds its entries, its splits, transpose and text come from the
+integers.  A product of at least 4 rows and columns and 48 entries, whose
+integer dot products all fit signed fields of at most 8 bytes, is packed
+(Kronecker substitution): each row of the right operand becomes one big
+integer with a field per output column, so an output row is one big-integer
+dot product cut into its fields.  A matrix splits its rows and its columns
+once, on first use, for every product, rank and map run; its transpose
+carries the splits already built, swapped.
 
 The paper's fixed value sets live here too, with their one entry check
 and one sign-label table: map weights in {-1, 0, 1, I}, and activations
@@ -62,39 +64,43 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _render_fraction(f):
-    if f.denominator == 1:
-        return str(f.numerator)
-    den = f.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
+def _render_fraction(num, den):
     if den == 1:
+        return str(num)
+    rest, twos, fives = den, 0, 0
+    while rest % 2 == 0:
+        rest //= 2
+        twos += 1
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    if rest == 1:
         k = max(twos, fives)
-        scaled = abs(f.numerator) * (10 ** k // f.denominator)
+        scaled = abs(num) * (10 ** k // den)
         digits = str(scaled).rjust(k + 1, "0")
-        sign = "-" if f.numerator < 0 else ""
+        sign = "-" if num < 0 else ""
         return sign + digits[:-k] + "." + digits[-k:]
-    return "%d/%d" % (f.numerator, f.denominator)
+    return "%d/%d" % (num, den)
 
 
-def _render_number(a, b):
-    """a+bI as text; as `_rational` reads it, a coefficient of +-1 is its sign alone.
-
-    a and b are Fractions or ints, read through their integer numerators and denominators."""
-    if not b.numerator:
-        return _render_fraction(a)
-    if b.denominator == 1 and b.numerator in (1, -1):
-        tail = "I" if b.numerator == 1 else "-I"
+def _render_number(an, ad, bn, bd):
+    """an/ad + (bn/bd)I as text, from reduced parts with positive denominators; as
+    `_rational` reads it, a coefficient of +-1 is its sign alone."""
+    if not bn:
+        return _render_fraction(an, ad)
+    if bd == 1 and bn in (1, -1):
+        tail = "I" if bn == 1 else "-I"
     else:
-        tail = _render_fraction(b) + "I"
-    if not a.numerator:
+        tail = _render_fraction(bn, bd) + "I"
+    if not an:
         return tail
-    return _render_fraction(a) + ("" if tail[0] == "-" else "+") + tail
+    return _render_fraction(an, ad) + ("" if tail[0] == "-" else "+") + tail
+
+
+def _render_scaled(f, g, d):
+    """The `_render_number` of the split (f, g) / d, each part reduced by one gcd."""
+    p, q = math.gcd(f, d), math.gcd(g - f, d)
+    return _render_number(f // p, d // p, (g - f) // q, d // q)
 
 
 def _coerce_fraction(x):
@@ -222,7 +228,8 @@ class NeutroNumber:
         return bool(self.real or self.indet)
 
     def __str__(self):
-        return _render_number(self.real, self.indet)
+        a, b = self.real, self.indet
+        return _render_number(a.numerator, a.denominator, b.numerator, b.denominator)
 
     def __repr__(self):
         return "NeutroNumber('%s')" % (self,)
@@ -234,8 +241,7 @@ _new = object.__new__
 def _exact(real, indet):
     """The NeutroNumber real + indet*I from two Fractions, taken unchecked."""
     x = _new(NeutroNumber)
-    x.real = real
-    x.indet = indet
+    x.real, x.indet = real, indet
     return x
 
 
@@ -355,11 +361,27 @@ def _split(vectors):
     return tuple(firsts), tuple(seconds), tuple(scales)
 
 
+def _split_scaled(F, G, s, t):
+    """The `_split` of the rows of the scaled form (F, G, s, t), from its integers:
+    row i over the common denominator s[i] * lcm(t), divided by one gcd."""
+    lcm = math.lcm(*t)
+    up = [lcm // x for x in t]
+    firsts, seconds, scales = [], [], []
+    for fs, gs, si in zip(F, G, s):
+        fs, gs = list(map(mul, fs, up)), list(map(mul, gs, up))
+        d = math.gcd(si * lcm, *fs, *gs)
+        firsts.append(tuple([x // d for x in fs]))
+        seconds.append(tuple([x // d for x in gs]))
+        scales.append(si * lcm // d)
+    return tuple(firsts), tuple(seconds), tuple(scales)
+
+
 class NeutroMatrix(_Value):
     """Dense rectangular matrix of NeutroNumbers (at least 1x1)."""
 
-    # the integer splits of the rows and of the columns: None until first use
-    __slots__ = ("rows", "cols", "_rows", "_row_split", "_col_split")
+    # a product's scaled form (module docstring), else None; and the integer
+    # splits of the rows and of the columns: None until first use
+    __slots__ = ("rows", "cols", "_rows", "_form", "_row_split", "_col_split")
 
     def __init__(self, rows):
         self._set_rows(tuple(tuple(map(_as_nn, row)) for row in rows))
@@ -380,13 +402,29 @@ class NeutroMatrix(_Value):
         self.rows = len(data)
         self.cols = width
         self._rows = data
-        self._row_split = self._col_split = None
+        self._form = self._row_split = self._col_split = None
+
+    @classmethod
+    def _scaled(cls, form):
+        """The matrix of the scaled form (F, G, s, t), its entries not yet built."""
+        M = _new(cls)
+        M.rows, M.cols, M._form = len(form[2]), len(form[3]), form
+        M._row_split = M._col_split = None
+        return M
+
+    def __getattr__(self, name):  # only an unset slot gets here: a scaled form's entries
+        if name != "_rows":
+            return object.__getattribute__(self, name)
+        (F, G, s, t), self._form = self._form, None  # later transposes share the entries
+        self._rows = rows = tuple([
+            tuple([_exact(Fraction(f, scale), Fraction(g - f, scale))
+                   for f, g, scale in zip(fs, gs, map(si.__mul__, t))])
+            for fs, gs, si in zip(F, G, s)])
+        return rows
 
     @classmethod
     def identity(cls, n):
-        return cls(
-            [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        )
+        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
     def filled(cls, rows, cols, value=ZERO):
@@ -402,15 +440,15 @@ class NeutroMatrix(_Value):
         return iter(self._rows)
 
     def _split_rows(self):
-        """The `_split` of the rows, built on first use."""
+        """The `_split` of the rows, built on first use, from the scaled form if any."""
         if self._row_split is None:
-            self._row_split = _split(self._rows)
+            self._row_split = _split_scaled(*self._form) if self._form else _split(self._rows)
         return self._row_split
 
     def _split_cols(self):
-        """The `_split` of the columns, built on first use."""
+        """The `_split` of the columns, built on first use as the transpose's rows."""
         if self._col_split is None:
-            self._col_split = _split(zip(*self._rows))
+            self._col_split = self.transpose()._split_rows()
         return self._col_split
 
     def _key(self):
@@ -423,8 +461,12 @@ class NeutroMatrix(_Value):
         return nm_mul(self, other)
 
     def transpose(self):
-        """The transpose, carrying those of this matrix's splits already built, swapped."""
-        T = NeutroMatrix._of(tuple(zip(*self._rows)))
+        """The transpose, carrying the splits already built, swapped; a scaled form swaps too."""
+        if self._form is None:
+            T = NeutroMatrix._of(tuple(zip(*self._rows)))
+        else:
+            F, G, s, t = self._form
+            T = NeutroMatrix._scaled((tuple(zip(*F)), tuple(zip(*G)), t, s))
         T._row_split, T._col_split = self._col_split, self._row_split
         return T
 
@@ -479,16 +521,10 @@ def _dot_products(rows, cols):
 def nm_mul(A, B):
     """Exact product over K(I) by the integer split kernel (module docstring)."""
     if A.cols != B.rows:
-        raise ShapeError(
-            "cannot multiply %dx%d by %dx%d" % (A.rows, A.cols, B.rows, B.cols)
-        )
+        raise ShapeError("cannot multiply %dx%d by %dx%d" % (A.rows, A.cols, B.rows, B.cols))
     a1, a2, s = A._split_rows()
     b1, b2, t = B._split_cols()
-    return NeutroMatrix._of(tuple([
-        tuple([_exact(Fraction(f, scale), Fraction(g - f, scale))
-               for f, g, scale in zip(fs, gs, map(si.__mul__, t))])
-        for fs, gs, si in zip(_dot_products(a1, b1), _dot_products(a2, b2), s)
-    ]))
+    return NeutroMatrix._scaled((_dot_products(a1, b1), _dot_products(a2, b2), s, t))
 
 
 def nm_transpose(A):
@@ -597,4 +633,8 @@ def parse_matrix(text):
 
 
 def render_matrix(M):
-    return "\n".join(", ".join(str(e) for e in row) for row in M)
+    if M._form is None:
+        return "\n".join(", ".join(str(e) for e in row) for row in M)
+    F, G, s, t = M._form
+    return "\n".join(", ".join(map(_render_scaled, fs, gs, map(si.__mul__, t)))
+                     for fs, gs, si in zip(F, G, s))

@@ -55,10 +55,8 @@ def _check_weights(M, rows, cols, what):
     if not isinstance(M, NeutroMatrix):
         M = NeutroMatrix(M)
     if (M.rows, M.cols) != (rows, cols):
-        raise ShapeError(
-            "%s weight matrix is %dx%d, expected %dx%d"
-            % (what, M.rows, M.cols, rows, cols)
-        )
+        raise ShapeError("%s weight matrix is %dx%d, expected %dx%d"
+                         % (what, M.rows, M.cols, rows, cols))
     _check_entries(M, _WEIGHTS, what + " weights")
     return M
 
@@ -72,9 +70,8 @@ class ConceptModel(_Value):
         self.concept_names = _check_names(concept_names, "concept")
         n = len(self.concept_names)
         self.weights = _check_weights(weights, n, n, "concept model")
-        self.default_clamp = (
-            None if default_clamp is None else _resolve_clamp(None, default_clamp, n)
-        )
+        self.default_clamp = (None if default_clamp is None
+                              else _resolve_clamp(None, default_clamp, n))
 
     @property
     def size(self):
@@ -103,10 +100,8 @@ class RelationalModel(_Value):
         self.range_names = _check_names(range_names, "range")
         if set(self.domain_names) & set(self.range_names):
             raise ValueError("domain and range name sets must be disjoint")
-        self.weights = _check_weights(
-            weights, len(self.domain_names), len(self.range_names),
-            "relational model",
-        )
+        self.weights = _check_weights(weights, len(self.domain_names), len(self.range_names),
+                                      "relational model")
 
     def index(self, name):
         if name in self.domain_names:
@@ -119,9 +114,7 @@ class RelationalModel(_Value):
         return self.domain_names, self.range_names, self.weights
 
     def __repr__(self):
-        return "RelationalModel(%d x %d)" % (
-            len(self.domain_names), len(self.range_names),
-        )
+        return "RelationalModel(%d x %d)" % (len(self.domain_names), len(self.range_names))
 
 
 class HiddenPattern(_Record):
@@ -341,7 +334,8 @@ def link(chain):
     Adjacent matrices multiply directly when shapes conform; otherwise a
     shared first space (equal row counts) links them through the transpose,
     so a 7x4 map followed by a 7x5 map yields a 4x5 result.  Returns
-    (raw product, entrywise sign threshold).
+    (raw product, entrywise sign threshold), the signs read from the integers
+    of its scaled form (a lone matrix's row split), whose scales are positive.
     """
     mats = list(chain)
     if not mats:
@@ -355,15 +349,11 @@ def link(chain):
             acc = acc.transpose() * B
         else:
             raise ShapeError("link chain not conformable: %s" % (shapes,))
-    signed = acc.map_entries(_sign_threshold)
+    F, G = (acc._form or acc._split_rows())[:2]
+    signed = NeutroMatrix._of(tuple(
+        tuple([ONE if f > 0 else MINUS_ONE if f else I if g else ZERO for f, g in zip(fs, gs)])
+        for fs, gs in zip(F, G)))
     return acc, signed
-
-
-def _sign_threshold(x):
-    sign = x.real.numerator  # the sign of a Fraction is its numerator's
-    if sign:
-        return ONE if sign > 0 else MINUS_ONE
-    return I if x.indet.numerator else ZERO
 
 
 def frm_convertible(model):

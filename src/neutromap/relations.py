@@ -109,8 +109,8 @@ class FuzzyNeutroValue(_Value):
         return self.magnitude, self.indeterminate
 
     def __str__(self):
-        mag = self.magnitude
-        return _render_number(0, mag) if self.indeterminate else _render_number(mag, 0)
+        n, d = self.magnitude.numerator, self.magnitude.denominator
+        return _render_number(0, 1, n, d) if self.indeterminate else _render_number(n, d, 0, 1)
 
     def __repr__(self):
         return "FuzzyNeutroValue(%s)" % (self,)

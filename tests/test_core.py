@@ -36,7 +36,7 @@ from neutromap.core import (
     split,
     unsplit,
 )
-from neutromap.engines import ConceptModel, HiddenPattern, RelationalModel, RmResult
+from neutromap.engines import ConceptModel, HiddenPattern, RelationalModel, RmResult, link
 from neutromap.formats import ModelFile
 from neutromap.graphs import (
     ColoringReport,
@@ -471,6 +471,99 @@ class TestMatrix:
     def test_parse_skips_comments_and_blanks(self):
         A = parse_matrix("# header\n\n1, 2\n\n# tail\n3, 4\n")
         assert A == parse_matrix("1, 2\n3, 4")
+
+
+def pairs(M):
+    return [[(e.real, e.indet) for e in row] for row in M]
+
+
+class TestScaledProduct:
+    """A product is kept as its scaled integer form (F, G, s, t): every reader,
+    fed a fresh product, gets what the pair oracle gives, and no entry is built
+    before one is read."""
+
+    ENTRY_SIZES = TestMatrix.ENTRY_SIZES
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.integers(1, 4),
+           st.sampled_from(["small", "large"]), st.randoms(use_true_random=False))
+    def test_every_reader_matches_the_pair_oracle(self, r, k, c, d, size, rng):
+        entry = lambda: self.ENTRY_SIZES[size](rng)
+        A, B, C = ([[entry() for _ in range(w)] for _ in range(h)]
+                   for h, w in ((r, k), (k, c), (r, d)))
+        want = oracles.pmat_mul(pairs(A), pairs(B))
+        fresh = lambda: nm_mul(NeutroMatrix(A), NeutroMatrix(B))
+        built = NeutroMatrix(list(fresh()))  # the same entries, held as entries
+        assert pairs(list(fresh())) == want
+        assert pairs(fresh().transpose()) == oracles.pmat_transpose(want)
+        assert pairs(fresh().transpose().transpose()) == want
+        assert pairs(fresh().transpose() * NeutroMatrix(C)) == oracles.pmat_mul(
+            oracles.pmat_transpose(want), pairs(C))
+        assert nm_rank(fresh())[:2] == (oracles.gauss_rank([[a for a, _ in row] for row in want]),
+                                        oracles.gauss_rank([[a + b for a, b in row] for row in want]))
+        assert fresh()._split_rows() == built._split_rows()
+        assert fresh()._split_cols() == built._split_cols()
+        text = render_matrix(fresh())
+        assert text == render_matrix(built) and pairs(parse_matrix(text)) == want
+        for twin in (pickle.loads(pickle.dumps(fresh())), copy.deepcopy(fresh())):
+            assert pairs(twin) == want
+            assert twin == fresh() == built and hash(twin) == hash(fresh()) == hash(built)
+        assert pickle.dumps(fresh()) == pickle.dumps(built)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(3, 4), st.sampled_from(sorted(ENTRY_SIZES)), st.randoms(use_true_random=False))
+    def test_link_through_transposed_products(self, length, size, rng):
+        """A non-square A*B linked to a map with as many rows transposes the
+        product; a fourth map goes either way."""
+        r, k = rng.randint(1, 4), rng.randint(1, 4)
+        c = r + rng.randint(1, 3)
+        shapes = [(r, k), (k, c), (r, rng.randint(1, 5))]
+        if length == 4:  # the fold is c x shapes[2][1] here
+            shapes.append((rng.choice((c, shapes[2][1])), rng.randint(1, 5)))
+        chain = [[[self.ENTRY_SIZES[size](rng) for _ in range(w)] for _ in range(h)]
+                 for h, w in shapes]
+        acc = pairs(chain[0])
+        for M in chain[1:]:
+            acc = oracles.pmat_mul(acc if len(acc[0]) == len(M) else oracles.pmat_transpose(acc),
+                                   pairs(M))
+        raw, signed = link([NeutroMatrix(M) for M in chain])
+        assert pairs(signed) == [[oracles.psign(x) for x in row] for row in acc]
+        assert pairs(raw) == acc
+
+    def test_no_entry_is_built_before_it_is_read(self, monkeypatch):
+        """nm_mul and link build no Fraction and no NeutroNumber; the first read
+        builds each entry of the product read, once."""
+        A = parse_matrix(PACKED_TEXT)
+        B = parse_matrix("1/2, I, 2-6I\n1/3, 0, 1-I\n0.5, 2I, 5/7+I\n1, -I, 0\n"
+                         "0, 1/9, I\n3, 0, 1\n-1, I, 1")
+        C = parse_matrix("1, -I\n2/3, 0\n0, I\n1, 1\nI, 0\n0, 0\n-1, 2")
+        twin = NeutroMatrix(list(nm_mul(A, A)))
+        made = {"Fraction": 0, "NeutroNumber": 0}
+
+        def counting(kind, make):
+            def counted(cls, *args, **kwargs):
+                made[kind] += cls is not NeutroMatrix  # core._new makes matrices too
+                return make(cls, *args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting("Fraction", Fraction.__new__)))
+        monkeypatch.setattr(core, "_new", counting("NeutroNumber", core._new))
+        monkeypatch.setattr(NeutroNumber, "__init__", counting("NeutroNumber", NeutroNumber.__init__))
+        P = nm_mul(A, A)
+        raw, signed = link([A, B, C])  # 7x7 by 7x3, then its transpose by 7x2
+        T = P.transpose()
+        render_matrix(P), nm_rank(P), T._split_rows(), pairs(signed)
+        assert made == {"Fraction": 0, "NeutroNumber": 0}
+        assert P.entry(0, 0) == twin.entry(0, 0)
+        assert made == {"Fraction": 2 * 49, "NeutroNumber": 49}
+        assert list(P) == list(twin) and P == twin and P.row(6) == twin.row(6)
+        assert P.transpose() == twin.transpose() and nm_rank(P) == nm_rank(twin)
+        pickle.dumps(P), render_matrix(P), str(P), P.entry(6, 6)
+        assert made == {"Fraction": 2 * 49, "NeutroNumber": 49}
+        T.entry(0, 0)  # a transpose taken before the read builds its own entries
+        assert made == {"Fraction": 4 * 49, "NeutroNumber": 2 * 49}
+        raw.entry(0, 0)
+        assert made == {"Fraction": 4 * 49 + 2 * 6, "NeutroNumber": 2 * 49 + 6}
 
 
 class TestDimension:
