@@ -26,7 +26,8 @@ carries the splits already built, swapped.
 
 The paper's fixed value sets live here too, with their one entry check
 and one sign-label table: map weights in {-1, 0, 1, I}, and activations
-and neutrosophic adjacency entries in {0, 1, I}.
+and neutrosophic adjacency entries in {0, 1, I}.  So do the desk-scale
+size guards of every layer: `_GUARDS` maps each name to its limit and unit.
 """
 
 import math
@@ -588,10 +589,32 @@ def nm_rank(A):
     return r1, r2, invertible
 
 
-def _check_guard(what, count, unit, limit):
-    """Raise SizeLimitError when `count` exceeds the `what` search guard."""
+_GUARDS = {
+    "graph order": (10 ** 6, "vertices"),  # a graph or neutro-graph file may declare
+    "graph generator": (10 ** 6, "edges"),  # of a generated graph
+    "distance table": (4 * 10 ** 6, "entries"),  # of the n x n distance table of metrics
+    "distance search": (10 ** 8, "edge visits"),  # n * m: the n searches of metrics
+    "tutte matrix": (4 * 10 ** 6, "entries"),  # of the n x n matrix of names of tutte
+    "laplacian": (4 * 10 ** 6, "entries"),  # of the n x n Laplacian of spanning_tree_count
+    # (n + 1) * m bits: the n + 1 coefficients of chromatic_polynomial, each <= 2**m
+    "chromatic polynomial size": (10 ** 8, "coefficient bits"),
+    "chromatic polynomial": (50000, "states"),  # memo states of chromatic_polynomial
+    "hamiltonian search": (14, "vertices"),  # of the spanning-cycle search of hamiltonian
+    # (vertex set, end) states of a cycle search: as many as a Hamiltonian
+    # search of 14 vertices can enter, so that one never trips it
+    "cycle search": (14 << 13, "states"),
+    "vertex coloring": (14, "vertices"),  # of the exact chromatic number search
+    "edge coloring": (20, "edges"),  # of the exact chromatic index search
+    "balance": (12, "concepts"),  # for the simple-path search in balance
+    "isomorphism": (10, "vertices"),  # for the neutro_isomorphic backtracking
+}
+
+
+def _check_guard(name, count):
+    """Raise SizeLimitError when `count` exceeds the limit of guard `name`."""
+    limit, unit = _GUARDS[name]
     if count > limit:
-        raise SizeLimitError("%s guard: %d %s exceeds %d" % (what, count, unit, limit))
+        raise SizeLimitError("%s guard: %d %s exceeds %d" % (name, count, unit, limit))
 
 
 def neutro_dimension(n, base):

@@ -34,8 +34,6 @@ from .core import (
     _split,
 )
 
-BALANCE_GUARD = 12  # concepts for the simple-path search in balance
-
 
 def _check_names(names, what):
     names = tuple(names)
@@ -235,7 +233,7 @@ def balance(model):
     ((u, v), (path1, sign1), (path2, sign2)) on imbalance.
     """
     n = model.size
-    _check_guard("balance", n, "concepts", BALANCE_GUARD)
+    _check_guard("balance", n)
     out = [
         [(j, _SIGN_LABELS[w]) for j, w in enumerate(row) if j != i and w]
         for i, row in enumerate(model.weights)

@@ -16,7 +16,6 @@ from .core import (ParseError, SizeLimitError, ZERO, I, _Record, _SIGN_LABELS,
                    _check_guard, matrix_from_lines, meaningful_lines, render_matrix)
 
 MODEL_HEADER = "neutromap-model 1"
-ORDER_GUARD = 10 ** 6  # vertices a graph or neutro-graph file may declare
 
 
 class ModelFile(_Record):
@@ -108,7 +107,7 @@ def _parse_graph_body(body):
     if not body:
         raise ParseError("graph body needs an `n m` line")
     n, m = _parse_ints(body[0][0], body[0][1], 2, "`n m`")
-    _check_guard("graph order", n, "vertices", ORDER_GUARD)
+    _check_guard("graph order", n)
     if len(body) - 1 != m:
         raise ParseError(
             "expected %d edge lines, found %d" % (m, len(body) - 1)
@@ -129,7 +128,7 @@ def _parse_neutro_body(body):
     )
     if directed not in (0, 1):
         raise ParseError("line %d: directed flag must be 0 or 1" % (body[0][0],))
-    _check_guard("graph order", n_real + n_indet, "vertices", ORDER_GUARD)
+    _check_guard("graph order", n_real + n_indet)
     if len(body) - 1 != m:
         raise ParseError(
             "expected %d edge lines, found %d" % (m, len(body) - 1)

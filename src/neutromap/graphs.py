@@ -28,7 +28,7 @@ of a chromatic polynomial.
 from itertools import combinations, starmap, zip_longest
 from operator import add, itemgetter, sub
 
-from .core import NotFoundError, _Record, _Value, _check_guard, _echelon
+from .core import _GUARDS, NotFoundError, _Record, _Value, _check_guard, _echelon
 
 
 class Graph(_Value):
@@ -130,21 +130,14 @@ FAMILIES = {
                          (e for i in range(1, n + 1) for e in ((0, i), (i, i % n + 1))))),
     "petersen": ((), None, lambda: (10, 15, PETERSEN_EDGES)),
 }
-GENERATOR_GUARD = 10 ** 6  # edges of a generated graph
-DISTANCE_GUARD = 4 * 10 ** 6  # entries of the n x n distance table of metrics
-DISTANCE_SEARCH_GUARD = 10 ** 8  # n * m: the edges visited by the n searches of metrics
-TUTTE_GUARD = 4 * 10 ** 6  # entries of the n x n matrix of names of tutte
-LAPLACIAN_GUARD = 4 * 10 ** 6  # entries of the n x n Laplacian of spanning_tree_count
-# (n + 1) * m bits: the n + 1 coefficients of chromatic_polynomial, each <= 2**m
-CHROMATIC_SIZE_GUARD = 10 ** 8
 
 
 def generate(kind, *params):
     """Canonical instance of a named family.
 
     kinds: complete n | complete-bipartite t s | cycle n | path n | star s |
-    wheel n | petersen.  The edge count is checked against GENERATOR_GUARD
-    before any edge is made.
+    wheel n | petersen.  The edge count is checked against the graph
+    generator guard before any edge is made.
     """
     if kind not in FAMILIES:
         raise ValueError("unknown graph family %r" % (kind,))
@@ -155,7 +148,7 @@ def generate(kind, *params):
     if any(p < m for p, m in zip(params, least)):
         raise ValueError(message)
     vertex_count, m, edges = build(*params)
-    _check_guard("graph generator", m, "edges", GENERATOR_GUARD)
+    _check_guard("graph generator", m)
     return Graph(vertex_count, edges)
 
 
@@ -267,8 +260,8 @@ class MetricsReport(_Record):
 
 def metrics(G):
     n = G.vertex_count
-    _check_guard("distance table", n * n, "entries", DISTANCE_GUARD)
-    _check_guard("distance search", n * G.m, "edge visits", DISTANCE_SEARCH_GUARD)
+    _check_guard("distance table", n * n)
+    _check_guard("distance search", n * G.m)
     nbrs = G.view()[1]
     dists = tuple(tuple(_bfs_dist(n, nbrs, s)) for s in range(n))
 
@@ -504,16 +497,6 @@ def eulerian(G):
     return True, list(zip(path, path[1:]))
 
 
-# desk-scale limits of the exact searches
-HAMILTONIAN_GUARD = 14  # vertices
-COLORING_VERTEX_GUARD = 14  # vertices
-COLORING_EDGE_GUARD = 20  # edges
-CHROMATIC_GUARD = 50000  # memo states of chromatic_polynomial
-# (vertex set, end) states of a cycle search: as many as a Hamiltonian
-# search of HAMILTONIAN_GUARD vertices can enter, so that one never trips it
-CYCLE_GUARD = HAMILTONIAN_GUARD << (HAMILTONIAN_GUARD - 1)
-
-
 def hamiltonian(G):
     """Bondy-Chvatal closure plus exact spanning-cycle search.
 
@@ -559,9 +542,9 @@ def hamiltonian(G):
         added += new
     closure = Graph(n, G.edges + tuple(added)) if added else G
 
-    if min(deg) == n - 1 and n > HAMILTONIAN_GUARD:
+    if min(deg) == n - 1 and n > _GUARDS["hamiltonian search"][0]:
         return closure, True, None
-    _check_guard("hamiltonian search", n, "vertices", HAMILTONIAN_GUARD)
+    _check_guard("hamiltonian search", n)
     if low < 2:
         return closure, False, None
 
@@ -594,7 +577,7 @@ def _cycle_search(nbrs, s, stop, seen):
                 state = (mask | 1 << w, w)
                 if state not in seen:
                     seen.add(state)
-                    _check_guard("cycle search", len(seen), "states", CYCLE_GUARD)
+                    _check_guard("cycle search", len(seen))
                     path.append(w)
                     stack.append((state[0], iter(nbrs[w])))
                     break
@@ -620,9 +603,9 @@ def coloring(G):
 def _chromatic(H):
     """Chromatic number and a least coloring of a loopless graph H (parallel
     edges are read once through the view's distinct neighbours), behind
-    COLORING_VERTEX_GUARD."""
+    the vertex coloring guard."""
     n = H.vertex_count
-    _check_guard("vertex coloring", n, "vertices", COLORING_VERTEX_GUARD)
+    _check_guard("vertex coloring", n)
     if n == 0:
         return 0, []
     if not H.edges:
@@ -681,9 +664,9 @@ def _greedy_clique(n, adj):
 
 
 def _edge_chromatic(G):
-    """Chromatic index and a least edge coloring of a loopless G, behind COLORING_EDGE_GUARD."""
+    """Chromatic index and a least edge coloring of a loopless G, behind its guard."""
     m = G.m
-    _check_guard("edge coloring", m, "edges", COLORING_EDGE_GUARD)
+    _check_guard("edge coloring", m)
     if m == 0:
         return 0, []
     delta = max(G.degrees())
@@ -792,15 +775,14 @@ def chromatic_polynomial(G):
     edge uw at its lowest vertex u: P(G) = P(G - uw) - P(G / uw).  Labels
     follow ascending degree, so the first branch is at a minimum-degree
     vertex.  The branches run on an explicit stack over a memo of states,
-    so no recursion grows with the graph; CHROMATIC_GUARD bounds the memo,
-    and CHROMATIC_SIZE_GUARD the coefficients, before any state is built.
+    so no recursion grows with the graph; one guard bounds the memo, and
+    one the coefficients, before any state is built.
     Per state: one `_branch` (two peels) and one subtraction of coefficient lists.
     """
     if not G.is_simple():
         raise ValueError("chromatic polynomial is computed for simple graphs")
     n = G.vertex_count
-    _check_guard("chromatic polynomial size", (n + 1) * G.m, "coefficient bits",
-                 CHROMATIC_SIZE_GUARD)
+    _check_guard("chromatic polynomial size", (n + 1) * G.m)
     nbrs = G.view()[1]
     order = sorted(range(n), key=lambda v: len(nbrs[v]))
     label = {v: i for i, v in enumerate(order)}
@@ -816,8 +798,7 @@ def chromatic_polynomial(G):
             memo[state] = tuple(map(sub, p, (*q, 0)))  # G / uw has one vertex fewer
             stack.pop()
         else:
-            _check_guard("chromatic polynomial", len(memo) + len(branches),
-                         "states", CHROMATIC_GUARD)
+            _check_guard("chromatic polynomial", len(memo) + len(branches))
             branches[state] = kids = _branch(state)
             stack += kids[0][1], kids[1][1]
     return Polynomial(_times(peeled, memo[root]))
@@ -905,13 +886,13 @@ def _peel(masks, dirty, drops):
 def spanning_tree_count(G):
     """tau(G) as a Laplacian cofactor; loops ignored, parallel edges counted.
 
-    The n x n Laplacian of a connected G is checked against LAPLACIAN_GUARD
-    before it is built."""
+    The n x n Laplacian of a connected G is checked against the laplacian
+    guard before it is built."""
     n = G.vertex_count
     # the cofactor is singular exactly when G is disconnected: skip elimination
     if n == 0 or len(_components(n, G.view()[1])) > 1:
         return 0
-    _check_guard("laplacian", n * n, "entries", LAPLACIAN_GUARD)
+    _check_guard("laplacian", n * n)
     L = [[0] * n for _ in range(n)]
     for u, v in G.edges:
         if u != v:
@@ -928,13 +909,13 @@ def tutte(G):
     The matrix is returned as rows of strings ('0', 'x13', '-x13').  The
     flag says whether G has a perfect matching, decided by a maximum
     matching from Edmonds' blossom algorithm (so an odd order is False and
-    the empty graph True).  The n x n names are checked against TUTTE_GUARD
-    before any is made.
+    the empty graph True).  The n x n names are checked against the tutte
+    matrix guard before any is made.
     """
     if not G.is_simple():
         raise ValueError("tutte matrix is defined for simple graphs")
     n = G.vertex_count
-    _check_guard("tutte matrix", n * n, "entries", TUTTE_GUARD)
+    _check_guard("tutte matrix", n * n)
     names = [["0"] * n for _ in range(n)]
     for u, v in G.edges:
         sym = "x%d%d" % (u + 1, v + 1)

@@ -18,7 +18,6 @@ from .core import (I, NeutroMatrix, ShapeError, ZERO, ONE, _ACTIVATIONS, _Record
 
 
 _TAGS = ("R", "I")
-ISOMORPHISM_GUARD = 10  # vertices for the neutro_isomorphic backtracking
 
 
 class NeutroGraph(_Value):
@@ -375,7 +374,7 @@ def neutro_isomorphic(G1, G2):
     for loops) agrees; phi is the first map in lexicographic order.
     """
     order = max(G1.vertex_count, G2.vertex_count)
-    _check_guard("isomorphism", order, "vertices", ISOMORPHISM_GUARD)
+    _check_guard("isomorphism", order)
     if (
         G1.n_real != G2.n_real
         or G1.n_indet != G2.n_indet

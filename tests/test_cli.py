@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
@@ -687,12 +688,41 @@ def _fuzz_cases():
     return cases
 
 
+# the tokens of a model text after its header and kind lines, and their
+# kinds: integers (counts, vertices, weights), other numbers, and names
+TOKEN = re.compile(r"[^\s,]+")
+KINDS = (re.compile(r"-?\d+"), re.compile(r"[-+\d./]*I?"), re.compile(".*"))
+
+
+def _kind(token):
+    return next(i for i, kind in enumerate(KINDS) if kind.fullmatch(token))
+
+
 # an edit: where (taken modulo the text length), how many characters to
-# delete there, and what to insert in their place
-EDITS = st.tuples(
-    st.integers(0, 10 ** 4), st.integers(0, 3),
-    st.text(alphabet="0123456789 -+/.,IRCDx\n", max_size=2),
+# delete there, and what to insert in their place; or which token (taken
+# modulo their count) to replace by which other token of its kind in the text
+EDITS = st.one_of(
+    st.tuples(
+        st.integers(0, 10 ** 4), st.integers(0, 3),
+        st.text(alphabet="0123456789 -+/.,IRCDx\n", max_size=2),
+    ),
+    st.tuples(st.integers(0, 10 ** 4), st.integers(0, 10 ** 4)),
 )
+
+
+def _edit(text, edit):
+    """`text` after one edit of EDITS."""
+    if len(edit) == 3:
+        where, cut, insert = edit
+        where %= len(text) + 1
+        return text[:where] + insert + text[where + cut:]
+    body = text.find("\n", text.find("\n") + 1) + 1
+    tokens = list(TOKEN.finditer(text, body))
+    if not tokens:
+        return text
+    old = tokens[edit[0] % len(tokens)]
+    like = [t[0] for t in tokens if _kind(t[0]) == _kind(old[0])]
+    return text[:old.start()] + like[edit[1] % len(like)] + text[old.end():]
 
 
 class TestCliFuzz:
@@ -703,9 +733,8 @@ class TestCliFuzz:
     @given(st.sampled_from(_fuzz_cases()), st.lists(EDITS, min_size=1, max_size=3))
     def test_mutated_model(self, case, edits):
         text, argv = case
-        for where, cut, insert in edits:
-            where %= len(text) + 1
-            text = text[:where] + insert + text[where + cut:]
+        for edit in edits:
+            text = _edit(text, edit)
         out, err = io.StringIO(), io.StringIO()
         stdin, sys.stdin = sys.stdin, io.StringIO(text)
         try:

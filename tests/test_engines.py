@@ -495,7 +495,7 @@ class TestBalance:
 
     def test_size_guard(self):
         ring = [[1 if j == (i + 1) % 13 else 0 for j in range(13)] for i in range(13)]
-        with pytest.raises(SizeLimitError, match="balance guard: 13 concepts exceeds 12"):
+        with pytest.raises(SizeLimitError, match="^balance guard: 13 concepts exceeds 12$"):
             balance(concept_model(ring))
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neutromap
-from neutromap import graphs, ngraph
+from neutromap import core, graphs, ngraph
 from neutromap.core import SizeLimitError
 from neutromap.graphs import (
     Graph,
@@ -95,9 +95,9 @@ class TestGenerate:
         ):
             monkeypatch.undo()
             m = generate(kind, *params).m
-            monkeypatch.setattr(graphs, "GENERATOR_GUARD", m)
+            monkeypatch.setitem(core._GUARDS, "graph generator", (m, "edges"))
             assert generate(kind, *params).m == m
-            monkeypatch.setattr(graphs, "GENERATOR_GUARD", m - 1)
+            monkeypatch.setitem(core._GUARDS, "graph generator", (m - 1, "edges"))
             with pytest.raises(SizeLimitError, match="generator guard: %d edges exceeds" % m):
                 generate(kind, *params)
 
@@ -207,30 +207,14 @@ class TestMetrics:
     def test_disconnected_diameter_is_none(self):
         assert metrics(Graph(4, [(0, 1)])).diameter is None
 
-    def test_distance_table_guard_edge(self):
-        # 2000^2 entries is exactly the guard; one more vertex trips it
-        assert graphs.DISTANCE_GUARD == 2000 ** 2
-        assert metrics(Graph(2000)).diameter is None
-        with pytest.raises(
-            SizeLimitError,
-            match="^distance table guard: 4004001 entries exceeds 4000000$",
-        ):
-            metrics(Graph(2001))
-
     def test_distance_search_guard_edge(self, monkeypatch):
         # complete-500 answers and complete-1400 trips; the table guard is checked first
-        assert 500 * 124750 <= graphs.DISTANCE_SEARCH_GUARD < 1400 * 979300
-        G = generate("petersen")  # 10 x 15 edge visits
-        monkeypatch.setattr(graphs, "DISTANCE_SEARCH_GUARD", 150)
-        assert metrics(G).diameter == 2
-        monkeypatch.setattr(graphs, "DISTANCE_SEARCH_GUARD", 149)
-        with pytest.raises(
-            SizeLimitError, match="^distance search guard: 150 edge visits exceeds 149$",
-        ):
-            metrics(G)
-        monkeypatch.setattr(graphs, "DISTANCE_GUARD", 99)
+        assert 500 * 124750 <= core._GUARDS["distance search"][0] < 1400 * 979300
+        # Petersen: 10 x 15 edge visits and 10 x 10 entries, each one past its guard
+        monkeypatch.setitem(core._GUARDS, "distance search", (149, "edge visits"))
+        monkeypatch.setitem(core._GUARDS, "distance table", (99, "entries"))
         with pytest.raises(SizeLimitError, match="^distance table guard: 100 entries exceeds 99$"):
-            metrics(G)
+            metrics(generate("petersen"))
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 10), st.data())
@@ -668,7 +652,7 @@ class TestHamiltonian:
         nbrs = G.view()[1]
         seen = set()
         assert graphs._cycle_search(nbrs, 0, 14, seen) == (0, None)
-        assert 0 < len(seen) <= graphs.CYCLE_GUARD
+        assert 0 < len(seen) <= core._GUARDS["cycle search"][0]
 
     def test_degree_below_two_skips_the_search(self, monkeypatch):
         def no_search(*args):
@@ -692,7 +676,7 @@ class TestHamiltonian:
         edges = closure_shaped_graph(rng, n, shape)
         expected = oracles.round_closure(n, edges)
         complete = len(expected) == n * (n - 1) // 2
-        if n > graphs.HAMILTONIAN_GUARD and not complete:
+        if n > core._GUARDS["hamiltonian search"][0] and not complete:
             with pytest.raises(SizeLimitError):
                 hamiltonian(Graph(n, edges))
             return
@@ -705,6 +689,13 @@ class TestHamiltonian:
     def test_big_complete_closure_shortcut(self):
         closure, flag, cyc = hamiltonian(generate("complete", 16))
         assert flag is True and cyc is None
+
+    def test_closure_shortcut_moves_with_the_guard(self, monkeypatch):
+        monkeypatch.setitem(core._GUARDS, "hamiltonian search", (4, "vertices"))
+        assert hamiltonian(generate("complete", 4))[1:] == (True, (0, 1, 2, 3))
+        assert hamiltonian(generate("complete", 5))[1:] == (True, None)
+        with pytest.raises(SizeLimitError, match="^hamiltonian search guard: 5 vertices exceeds 4$"):
+            hamiltonian(generate("cycle", 5))
 
     def test_guard(self):
         with pytest.raises(SizeLimitError):
@@ -872,7 +863,7 @@ class TestPolynomial:
         assert chromatic_polynomial(generate("path", 2000)).coeffs[1] == -1
 
     def test_guard_bounds_the_memo(self, monkeypatch):
-        monkeypatch.setattr(graphs, "CHROMATIC_GUARD", 100)
+        monkeypatch.setitem(core._GUARDS, "chromatic polynomial", (100, "states"))
         with pytest.raises(
             SizeLimitError, match="^chromatic polynomial guard: 101 states exceeds 100$"
         ):
@@ -881,11 +872,9 @@ class TestPolynomial:
 
     def test_size_guard_edge(self, monkeypatch):
         # path-10000 answers and cycle-10000 trips, before any state is built
-        assert 10001 * 9999 <= graphs.CHROMATIC_SIZE_GUARD < 10001 * 10000
+        assert 10001 * 9999 <= core._GUARDS["chromatic polynomial size"][0] < 10001 * 10000
         G = generate("petersen")  # (10 + 1) x 15 bits
-        monkeypatch.setattr(graphs, "CHROMATIC_SIZE_GUARD", 165)
-        assert chromatic_polynomial(G).degree == 10
-        monkeypatch.setattr(graphs, "CHROMATIC_SIZE_GUARD", 164)
+        monkeypatch.setitem(core._GUARDS, "chromatic polynomial size", (164, "coefficient bits"))
         monkeypatch.setattr(graphs, "_peel", None)
         with pytest.raises(SizeLimitError, match="^chromatic polynomial size guard: "
                            "165 coefficient bits exceeds 164$"):
@@ -900,11 +889,11 @@ class TestPolynomial:
     def test_state_counts_are_pinned(self, monkeypatch, family, states):
         # the memo, and so the point where the guard trips, is part of the contract
         G = generate(*family)
-        monkeypatch.setattr(graphs, "CHROMATIC_GUARD", states - 1)
+        monkeypatch.setitem(core._GUARDS, "chromatic polynomial", (states - 1, "states"))
         with pytest.raises(SizeLimitError, match="^chromatic polynomial guard: "
                            "%d states exceeds %d$" % (states, states - 1)):
             chromatic_polynomial(G)
-        monkeypatch.setattr(graphs, "CHROMATIC_GUARD", states)
+        monkeypatch.setitem(core._GUARDS, "chromatic polynomial", (states, "states"))
         p = chromatic_polynomial(G)
         assert p.coeffs == oracles.deletion_contraction_chromatic(G.vertex_count, G.edges)
 
@@ -1026,15 +1015,6 @@ class TestSpanningTrees:
 
 
 class TestTutte:
-    def test_guard_edge(self):
-        # 2000^2 names is exactly the guard; one more vertex trips it
-        assert graphs.TUTTE_GUARD == 2000 ** 2
-        assert len(tutte(Graph(2000))[0]) == 2000
-        with pytest.raises(
-            SizeLimitError, match="^tutte matrix guard: 4004001 entries exceeds 4000000$",
-        ):
-            tutte(Graph(2001))
-
     def test_k2(self):
         matrix, flag = tutte(generate("complete", 2))
         assert matrix == (("0", "x12"), ("-x12", "0")) and flag

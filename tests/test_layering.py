@@ -8,6 +8,7 @@ import os
 import pytest
 
 import neutromap
+from neutromap import core
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -106,17 +107,21 @@ def test_command_loads_only_its_layers(python_child, argv, layers):
     assert loaded == sorted("neutromap." + m for m in {"cli", "core", "formats"} | layers)
 
 
+def _module_trees():
+    """(file name, parsed tree) for each module of the package."""
+    src = os.path.dirname(neutromap.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read())
+
+
 def test_value_equality_is_written_once():
     """Only NeutroNumber, equal to ints and Fractions and hashed like them,
     and core's `_Value` base write `__eq__`/`__hash__`; every other value
     class inherits them from `_Value` and gives only its `_key()`."""
-    src = os.path.dirname(neutromap.__file__)
     written = set()
-    for name in sorted(os.listdir(src)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(src, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for name, tree in _module_trees():
         for cls in ast.walk(tree):
             if isinstance(cls, ast.ClassDef):
                 written |= {
@@ -128,6 +133,26 @@ def test_value_equality_is_written_once():
         ("core.py", cls, method)
         for cls in ("NeutroNumber", "_Value") for method in ("__eq__", "__hash__")
     }
+
+
+def test_guards_live_in_one_table():
+    """Every `_check_guard` call names a `_GUARDS` entry by a string literal,
+    every entry has a call, and no module keeps a `*_GUARD` constant."""
+    called, constants = set(), set()
+    for name, tree in _module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_guard":
+                guard = node.args[0]
+                assert isinstance(guard, ast.Constant), (name, node.lineno)
+                assert guard.value in core._GUARDS, (name, node.lineno)
+                called.add(guard.value)
+        constants |= {
+            (name, target.id) for stmt in tree.body if isinstance(stmt, ast.Assign)
+            for target in stmt.targets
+            if isinstance(target, ast.Name) and target.id.endswith("_GUARD")
+        }
+    assert called == set(core._GUARDS)
+    assert constants == set()
 
 
 def test_all_is_the_export_list():
