@@ -230,7 +230,8 @@ def balance(model):
     A pair of paths between the same ordered endpoints conflicts when the
     signs differ — two determinate opposite signs, or one determinate sign
     against an indeterminate one.  Returns (balanced, witness) with witness
-    ((u, v), (path1, sign1), (path2, sign2)) on imbalance.
+    ((u, v), (path1, sign1), (path2, sign2)) on imbalance, path1 the first
+    from u to reach v.  Paths grow depth first on an explicit stack.
     """
     n = model.size
     _check_guard("balance", n)
@@ -238,42 +239,26 @@ def balance(model):
         [(j, _SIGN_LABELS[w]) for j, w in enumerate(row) if j != i and w]
         for i, row in enumerate(model.weights)
     ]
-
-    witness = None
     plus, minus, indet = _SIGN_LABELS[ONE], _SIGN_LABELS[MINUS_ONE], _SIGN_LABELS[I]
-
-    def compose(s, t):
-        if s == indet or t == indet:
-            return indet
-        return plus if s == t else minus
-
     for u in range(n):
-        found = {}  # v -> {sign: path}
-
-        def walk(v, path, sign):
-            nonlocal witness
-            if witness is not None:
-                return
-            signs = found.setdefault(v, {})
-            if sign not in signs:
-                for other_sign, other_path in signs.items():
-                    witness = (
-                        (u, v), (other_path, other_sign), (tuple(path), sign)
-                    )
-                    return
-                signs[sign] = tuple(path)
-            for w, es in out[v]:
-                if w == u or w in path:
-                    continue
-                path.append(w)
-                walk(w, path, compose(sign, es))
+        first, path, stack = {}, [u], [(iter(out[u]), plus)]
+        while stack:
+            todo, sign = stack[-1]
+            for w, es in todo:
+                if w not in path:
+                    path.append(w)
+                    # the path's sign times its last edge's; I absorbs
+                    sign = indet if indet in (sign, es) else plus if sign == es else minus
+                    seen = first.get(w)  # (path, sign) of the first path to reach w
+                    if seen is None:
+                        first[w] = (tuple(path), sign)
+                    elif seen[1] != sign:
+                        return False, ((u, w), seen, (tuple(path), sign))
+                    stack.append((iter(out[w]), sign))
+                    break
+            else:
+                stack.pop()
                 path.pop()
-
-        for w, es in out[u]:
-            if witness is None:
-                walk(w, [u, w], es)
-        if witness is not None:
-            return False, witness
     return True, None
 
 

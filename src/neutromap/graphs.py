@@ -19,13 +19,13 @@ simplicial vertices in one pass.  The Bondy-Chvatal closure is degree-gated,
 and a vertex of degree below 2 answers "not Hamiltonian" without a search.
 The circumference and Hamiltonian cycles share one iterative search over
 (vertex set, end) states; chromatic number and index run desk-scale
-backtracking.  Every exponential search sits behind a size guard, and so do
-the edge count of a generated graph, the n x n distance table, Tutte names
-and Laplacian, the n x m work of the distance searches, and the printed size
-of a chromatic polynomial.
+backtracking on an explicit stack.  Every exponential search sits behind a
+size guard, and so do the edge count of a generated graph, the n x n
+distance table, Tutte names and Laplacian, the n x m work of the distance
+searches, and the printed size of a chromatic polynomial.
 """
 
-from itertools import combinations, starmap, zip_longest
+from itertools import combinations, count, starmap, zip_longest
 from operator import add, itemgetter, sub
 
 from .core import _GUARDS, NotFoundError, _Record, _Value, _check_guard, _echelon
@@ -625,31 +625,21 @@ def _min_coloring(adj, order, lower):
     """Fewest colors, at least `lower`, for items colored in `order`.
 
     adj[x] holds the items that clash with x.  An item takes at most one color
-    above the highest in use, which skips color permutations.
+    above the highest in use, which skips color permutations.  Each k pops
+    (items colored, colors, highest color) states, lower colors first, from
+    an explicit stack; k = len(order) always succeeds.
     """
     size = len(order)
-    colors = [None] * size
-    k = lower
-
-    def assign(i):
-        if i == size:
-            return True
-        x = order[i]
-        used = {colors[w] for w in adj[x] if colors[w] is not None}
-        top = min(k - 1, max((c for c in colors if c is not None), default=-1) + 1)
-        for c in range(top + 1):
-            if c not in used:
-                colors[x] = c
-                if assign(i + 1):
-                    return True
-                colors[x] = None
-        return False
-
-    # A failed attempt leaves every color None again.  The loop ends by
-    # k = len(order) at the latest: one color per item always succeeds.
-    while not assign(0):
-        k += 1
-    return k, colors
+    for k in count(lower):
+        stack = [(0, (None,) * size, -1)]
+        while stack:
+            i, colors, top = stack.pop()
+            if i == size:
+                return k, colors
+            x = order[i]
+            used = {colors[w] for w in adj[x]}
+            stack += [(i + 1, colors[:x] + (c,) + colors[x + 1:], max(top, c))
+                      for c in range(min(k - 1, top + 1), -1, -1) if c not in used]
 
 
 def _greedy_clique(n, adj):
@@ -784,6 +774,12 @@ def chromatic_polynomial(G):
     n = G.vertex_count
     _check_guard("chromatic polynomial size", (n + 1) * G.m)
     nbrs = G.view()[1]
+    if all(len(a) == 2 for a in nbrs) and len(_components(n, nbrs)) == 1:
+        # the n-cycle: (lambda - 1)^n + (-1)^n (lambda - 1)
+        p = _times({1: n}, [1])
+        p[0] -= (-1) ** n
+        p[1] += (-1) ** n
+        return Polynomial(p)
     order = sorted(range(n), key=lambda v: len(nbrs[v]))
     label = {v: i for i, v in enumerate(order)}
     masks = [sum(1 << label[x] for x in nbrs[v]) for v in order]

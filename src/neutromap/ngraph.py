@@ -6,8 +6,8 @@ delegate to the classical machinery on the underlying graph, which each
 `NeutroGraph` builds once and keeps, and layer the indeterminacy bookkeeping
 on top: components come from one search of the underlying graph, and the
 neutrosophic ones from one pass over the indeterminate vertices and
-I-edges.  Isomorphism is a backtracking search pruned by per-vertex kind and
-tag-degree signatures.
+I-edges.  Isomorphism is a backtracking search over an explicit stack of
+untried images, pruned by per-vertex kind and tag-degree signatures.
 """
 
 from collections import Counter
@@ -387,29 +387,25 @@ def neutro_isomorphic(G1, G2):
     if sorted(sig1) != sorted(sig2):
         return False, None
     n = G1.vertex_count
-    phi = {}
-
-    def agrees(v, a):
-        return all(
-            count1[v, x, t] == count2[a, phi[x], t]
-            and count1[x, v, t] == count2[phi[x], a, t]
-            for x in phi
-            for t in _TAGS
-        )
-
-    def extend(v):
-        if v == n:
-            return True
-        taken = set(phi.values())
-        for a in range(n):
-            if a not in taken and sig2[a] == sig1[v]:
-                phi[v] = a
-                if agrees(v, a) and extend(v + 1):
-                    return True
-                del phi[v]
-        return False
-
-    return (True, phi) if extend(0) else (False, None)
+    phi, untried = {}, []  # untried[v]: the images v has left to try
+    while len(phi) < n:
+        v = len(phi)
+        if len(untried) == v:
+            taken = set(phi.values())
+            untried.append(iter([a for a in range(n) if a not in taken and sig2[a] == sig1[v]]))
+        for a in untried[v]:
+            phi[v] = a
+            if all(count1[v, x, t] == count2[a, phi[x], t]
+                   and count1[x, v, t] == count2[phi[x], a, t]
+                   for x in phi for t in _TAGS):
+                break
+            del phi[v]
+        else:
+            untried.pop()
+            if not untried:
+                return False, None
+            del phi[v - 1]
+    return True, phi
 
 
 def _signatures(G):

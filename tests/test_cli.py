@@ -393,6 +393,24 @@ class TestPolynomialTotality:
         assert line.startswith("chromatic polynomial: x^1200 - 1199x^1199 + ")
         assert line.endswith(" - x")
 
+    def test_cycle_5000_fits_under_the_cap(self, python_child):
+        # a cycle takes its closed form, so no memo of n^2 bits is built
+        r = python_child(
+            "-c", CAPPED_CLI, "graph", "analyze", "cycle-5000", "--polynomial", timeout=20,
+        )
+        assert (r.returncode, r.stderr) == (0, "")
+        line = r.stdout.splitlines()[2]
+        assert line.startswith("chromatic polynomial: x^5000 - 5000x^4999 + 12497500x^4998 ")
+        assert line.endswith(" - 4999x")
+        r = python_child(
+            "-c", CAPPED_CLI, "graph", "analyze", "cycle-10000", "--polynomial", timeout=20,
+        )
+        assert (r.returncode, r.stdout) == (4, "")
+        assert r.stderr == (
+            "error: chromatic polynomial size guard: "
+            "100010000 coefficient bits exceeds 100000000\n"
+        )
+
     def test_guard_exits_4(self, python_child):
         # K20,23 and K21,22 are the smallest named graphs that trip the guard
         r = self.analyze(python_child, "complete-bipartite-20-23", timeout=60)

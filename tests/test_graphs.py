@@ -848,10 +848,13 @@ class TestPolynomial:
             assert p(k) == oracles.count_proper_colorings(n, edges, k)
 
     def test_long_cycle_and_path_need_no_deep_recursion(self):
+        # a cycle takes its closed form; with one chord it branches
+        chorded = Graph(300, generate("cycle", 300).edges + ((0, 100),))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(stack_depth() + 50)
         try:
             p = chromatic_polynomial(generate("cycle", 300))
+            p_chorded = chromatic_polynomial(chorded)
         finally:
             sys.setrecursionlimit(limit)
         # (x - 1)^n + (-1)^n (x - 1) for the n-cycle
@@ -861,6 +864,19 @@ class TestPolynomial:
             closed = closed * q
         assert p == closed + q
         assert chromatic_polynomial(generate("path", 2000)).coeffs[1] == -1
+
+        # the chord glues C101 and C201 on an edge: P = P(C101) P(C201) / (k (k - 1))
+        def cycle(n, k):
+            return (k - 1) ** n + (-1) ** n * (k - 1)
+
+        for k in (2, 3, 4, 7):
+            assert p_chorded(k) * k * (k - 1) == cycle(101, k) * cycle(201, k)
+
+    def test_cycle_closed_form_matches_the_oracle(self):
+        for n in range(3, 41):
+            G = generate("cycle", n)
+            want = oracles.deletion_contraction_chromatic(n, G.edges)
+            assert chromatic_polynomial(G).coeffs == want
 
     def test_guard_bounds_the_memo(self, monkeypatch):
         monkeypatch.setitem(core._GUARDS, "chromatic polynomial", (100, "states"))

@@ -155,6 +155,22 @@ def test_guards_live_in_one_table():
     assert constants == set()
 
 
+def test_no_library_function_recurses():
+    """No function of the library layers, nested ones included, calls its own
+    name: every search keeps its own stack, so the depth of an input never
+    meets the interpreter's recursion limit.  The CLI, which recurses over
+    one printed value, is outside."""
+    layers = {"core.py", "engines.py", "formats.py", "graphs.py", "ngraph.py", "relations.py"}
+    recursive = {
+        (name, func.name)
+        for name, tree in _module_trees() if name in layers
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == func.name
+    }
+    assert recursive == set()
+
+
 def test_all_is_the_export_list():
     assert len(neutromap.__all__) == len(EXPORTS)
     assert set(neutromap.__all__) == EXPORTS
