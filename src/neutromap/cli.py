@@ -24,7 +24,7 @@ from .core import (
     render_matrix,
 )
 # at top level, not per handler: perfbench imports these names from neutromap.cli
-from .formats import export_dot, model_for, parse_model, serialize_model
+from .formats import KINDS, export_dot, model_for, parse_model, serialize_model
 
 # ------------------------------------------------------------------- output
 
@@ -94,51 +94,11 @@ def _generator(name):
     raise NotFoundError("no such file or generator: %s" % (name,))
 
 
-def _graph_from_csv(M):
-    from .ngraph import from_adjacency
-
-    G = from_adjacency(M)
-    if any(t == "I" for _u, _v, t in G.edges):
-        raise ValueError("graph adjacency entries must be 0 or 1")
-    return G.underlying()
-
-
-def _relation_from_csv(M):
-    from .relations import FuzzyNeutroRelation
-
-    rows = [[str(M.entry(i, j)) for j in range(M.cols)] for i in range(M.rows)]
-    # one x1.. family on both axes, so the middle labels of two CSVs meet
-    labels = ["x%d" % (i + 1) for i in range(max(M.rows, M.cols))]
-    return FuzzyNeutroRelation.from_tokens(rows, labels[:M.rows], labels[:M.cols])
-
-
-def _concept_model_from_csv(M):
-    from .engines import ConceptModel
-
-    return ConceptModel(["C%d" % (i + 1) for i in range(M.rows)], M)
-
-
-def _relational_model_from_csv(M):
-    from .engines import RelationalModel
-
-    dom = ["D%d" % (i + 1) for i in range(M.rows)]
-    return RelationalModel(dom, ["R%d" % (j + 1) for j in range(M.cols)], M)
-
-
-# what a bare CSV matrix is read as, by the model kind a command wants
-_FROM_CSV = {
-    "graph": _graph_from_csv,
-    "relation": _relation_from_csv,
-    "concept-model": _concept_model_from_csv,
-    "relational-model": _relational_model_from_csv,
-}
-
-
 def _load(target, from_csv, *kinds):
     """The payload of a model file of one of `kinds`, or with `from_csv` a
     CSV matrix read as the first kind."""
     if from_csv:
-        return _FROM_CSV[kinds[0]](parse_matrix(_read_text(target)))
+        return KINDS[kinds[0]].csv(parse_matrix(_read_text(target)))
     mf = parse_model(_read_text(target))
     if mf.kind not in kinds:
         raise ValueError(
@@ -310,12 +270,10 @@ def _cmd_rel(args, out):
     from . import relations
 
     rels = [_load(t, args.from_csv, "relation") for t in args.inputs]
-    if args.action == "compose":
-        C = relations.maxmin_compose(*rels)
-        out.block("compose.model", "", serialize_model(model_for(C)))
-    elif args.action == "closure":
-        C = relations.transitive_closure(*rels)
-        out.block("closure.model", "", serialize_model(model_for(C)))
+    if args.action in ("compose", "closure"):
+        C = (relations.maxmin_compose if args.action == "compose"
+             else relations.transitive_closure)(*rels)
+        out.block(args.action + ".model", "", serialize_model(model_for(C)))
     elif args.action == "props":
         try:
             epsilon = Fraction(args.epsilon)

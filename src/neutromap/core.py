@@ -15,14 +15,15 @@ each column of the right one is scaled to integers by one lcm, and the two
 components are multiplied with plain integer sums.  The product keeps that
 scaled form (F, G, s, t), s the left rows' scales and t the right columns':
 entry (i, j) splits to (F[i][j], G[i][j]) / (s[i]*t[j]).  Until the first
-read builds its entries, its splits, transpose and text come from the
-integers.  A product of at least 4 rows and columns and 48 entries, whose
-integer dot products all fit signed fields of at most 8 bytes, is packed
-(Kronecker substitution): each row of the right operand becomes one big
-integer with a field per output column, so an output row is one big-integer
-dot product cut into its fields.  A matrix splits its rows and its columns
-once, on first use, for every product, rank and map run; its transpose
-carries the splits already built, swapped.
+read builds its entries, its splits and transpose come from the integers;
+its text, like every matrix's, is printed from its entries.  A product of
+at least 4 rows and columns and 48 entries, whose integer dot products all
+fit signed fields of at most 8 bytes, is packed (Kronecker substitution):
+each row of the right operand becomes one big integer with a field per
+output column, so an output row is one big-integer dot product cut into its
+fields.  A matrix splits its rows and its columns once, on first use, for
+every product, rank and map run; its transpose carries the splits already
+built, swapped.
 
 The paper's fixed value sets live here too, with their one entry check
 and one sign-label table: map weights in {-1, 0, 1, I}, and activations
@@ -84,9 +85,10 @@ def _render_fraction(num, den):
     return "%d/%d" % (num, den)
 
 
-def _render_number(an, ad, bn, bd):
-    """an/ad + (bn/bd)I as text, from reduced parts with positive denominators; as
-    `_rational` reads it, a coefficient of +-1 is its sign alone."""
+def _render_number(a, b):
+    """a + bI as text, from two rationals; as `_rational` reads it, a
+    coefficient of +-1 is its sign alone."""
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
     if not bn:
         return _render_fraction(an, ad)
     if bd == 1 and bn in (1, -1):
@@ -96,12 +98,6 @@ def _render_number(an, ad, bn, bd):
     if not an:
         return tail
     return _render_fraction(an, ad) + ("" if tail[0] == "-" else "+") + tail
-
-
-def _render_scaled(f, g, d):
-    """The `_render_number` of the split (f, g) / d, each part reduced by one gcd."""
-    p, q = math.gcd(f, d), math.gcd(g - f, d)
-    return _render_number(f // p, d // p, (g - f) // q, d // q)
 
 
 def _coerce_fraction(x):
@@ -229,8 +225,7 @@ class NeutroNumber:
         return bool(self.real or self.indet)
 
     def __str__(self):
-        a, b = self.real, self.indet
-        return _render_number(a.numerator, a.denominator, b.numerator, b.denominator)
+        return _render_number(self.real, self.indet)
 
     def __repr__(self):
         return "NeutroNumber('%s')" % (self,)
@@ -599,6 +594,7 @@ _GUARDS = {
     # (n + 1) * m bits: the n + 1 coefficients of chromatic_polynomial, each <= 2**m
     "chromatic polynomial size": (10 ** 8, "coefficient bits"),
     "chromatic polynomial": (50000, "states"),  # memo states of chromatic_polynomial
+    "chromatic polynomial memo": (3 * 10 ** 9, "mask bits"),  # sum of len(state)**2 over them
     "hamiltonian search": (14, "vertices"),  # of the spanning-cycle search of hamiltonian
     # (vertex set, end) states of a cycle search: as many as a Hamiltonian
     # search of 14 vertices can enter, so that one never trips it
@@ -656,8 +652,4 @@ def parse_matrix(text):
 
 
 def render_matrix(M):
-    if M._form is None:
-        return "\n".join(", ".join(str(e) for e in row) for row in M)
-    F, G, s, t = M._form
-    return "\n".join(", ".join(map(_render_scaled, fs, gs, map(si.__mul__, t)))
-                     for fs, gs, si in zip(F, G, s))
+    return "\n".join(", ".join(map(str, row)) for row in M)

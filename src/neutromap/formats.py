@@ -4,8 +4,9 @@ One model format covers every payload kind behind a `kind` tag.  Parsing
 and serialization are exact inverses on canonical files: comments and
 blank lines are dropped, separators are normalized to ", ", and every file
 ends in exactly one newline.  `KINDS` is the one table of kinds: each tag
-maps to its payload class, body parser, body writer and DOT writer.  A
-payload class is named, not imported, and each body parser imports its own
+maps to its payload class, body parser, body writer, DOT writer and the
+reader of a bare CSV matrix as that kind (`--from-csv`).  A payload class is
+named, not imported, and each body parser and CSV reader imports its own
 layer, so a command loads only the layer of the kinds it reads.
 """
 
@@ -23,8 +24,9 @@ class ModelFile(_Record):
 
 
 # payload: "layer.Class"; parse: numbered body lines -> payload; write:
-# payload -> body lines; dot: payload -> DOT lines without the closing brace
-Kind = namedtuple("Kind", "payload parse write dot")
+# payload -> body lines; dot: payload -> DOT lines without the closing brace;
+# csv: NeutroMatrix -> payload, or None for a kind no CSV is read as
+Kind = namedtuple("Kind", "payload parse write dot csv")
 
 
 def _tag(payload):
@@ -320,22 +322,56 @@ def _dot_relation(R):
     ]
 
 
+# ---------------------------------------------------------------- CSV readers
+
+def _graph_from_csv(M):
+    from .ngraph import from_adjacency
+
+    G = from_adjacency(M)
+    if any(t == "I" for _u, _v, t in G.edges):
+        raise ValueError("graph adjacency entries must be 0 or 1")
+    return G.underlying()
+
+
+def _relation_from_csv(M):
+    from .relations import FuzzyNeutroRelation
+
+    rows = [[str(M.entry(i, j)) for j in range(M.cols)] for i in range(M.rows)]
+    # one x1.. family on both axes, so the middle labels of two CSVs meet
+    labels = ["x%d" % (i + 1) for i in range(max(M.rows, M.cols))]
+    return FuzzyNeutroRelation.from_tokens(rows, labels[:M.rows], labels[:M.cols])
+
+
+def _concept_from_csv(M):
+    from .engines import ConceptModel
+
+    return ConceptModel(["C%d" % (i + 1) for i in range(M.rows)], M)
+
+
+def _relational_from_csv(M):
+    from .engines import RelationalModel
+
+    dom = ["D%d" % (i + 1) for i in range(M.rows)]
+    return RelationalModel(dom, ["R%d" % (j + 1) for j in range(M.cols)], M)
+
+
 KINDS = {
-    "graph": Kind("graphs.Graph", _parse_graph_body, _write_graph_body, _dot_graph),
+    "graph": Kind("graphs.Graph", _parse_graph_body, _write_graph_body, _dot_graph,
+                  _graph_from_csv),
     "neutro-graph": Kind(
         "ngraph.NeutroGraph", _parse_neutro_body, _write_neutro_body,
-        _dot_neutro_graph,
+        _dot_neutro_graph, None,
     ),
     "relation": Kind(
         "relations.FuzzyNeutroRelation", _parse_relation_body,
-        _write_relation_body, _dot_relation,
+        _write_relation_body, _dot_relation, _relation_from_csv,
     ),
     "concept-model": Kind(
         "engines.ConceptModel", _parse_concept_body, _write_concept_body,
-        _dot_concept,
+        _dot_concept, _concept_from_csv,
     ),
     "relational-model": Kind(
         "engines.RelationalModel", _parse_relational_body,
-        _write_relational_body, _dot_relational,
+        _write_relational_body, _dot_relational, _relational_from_csv,
     ),
 }

@@ -765,8 +765,9 @@ def chromatic_polynomial(G):
     edge uw at its lowest vertex u: P(G) = P(G - uw) - P(G / uw).  Labels
     follow ascending degree, so the first branch is at a minimum-degree
     vertex.  The branches run on an explicit stack over a memo of states,
-    so no recursion grows with the graph; one guard bounds the memo, and
-    one the coefficients, before any state is built.
+    so no recursion grows with the graph; two guards bound the memo as it
+    grows, by its states and by their mask bits (len(state)**2 each), and
+    one bounds the coefficients before any state is built.
     Per state: one `_branch` (two peels) and one subtraction of coefficient lists.
     """
     if not G.is_simple():
@@ -784,7 +785,7 @@ def chromatic_polynomial(G):
     label = {v: i for i, v in enumerate(order)}
     masks = [sum(1 << label[x] for x in nbrs[v]) for v in order]
     peeled, root = _peel(masks, (1 << len(masks)) - 1, [])
-    memo, branches, stack = {(): (1,)}, {}, [root]
+    memo, branches, stack, bits = {(): (1,)}, {}, [root], 0
     while stack:
         state = stack[-1]
         if state in memo:
@@ -795,6 +796,8 @@ def chromatic_polynomial(G):
             stack.pop()
         else:
             _check_guard("chromatic polynomial", len(memo) + len(branches))
+            bits += len(state) ** 2
+            _check_guard("chromatic polynomial memo", bits)
             branches[state] = kids = _branch(state)
             stack += kids[0][1], kids[1][1]
     return Polynomial(_times(peeled, memo[root]))

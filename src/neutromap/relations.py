@@ -12,8 +12,8 @@ integer rank codes (`_encode`), whose integer order is lattice_max's order
 and whose bitwise AND is lattice_min, so a max-min product is `max` over `&`
 of Python integers and a row's lattice_max is its largest code.  Each
 relation encodes its grades once, on first use, and keeps the codes; an
-operation on relations with different magnitudes remaps them onto the joint
-ranks (`_rank_codes`), and results are decoded once, back to the exact
+operation on relations with different magnitudes encodes them again on the
+joint ranks (`_rank_codes`), and results are decoded once, back to the exact
 Fraction-valued grades.  A product whose outer dimensions are both at least
 10 and whose rank count is at most twice its inner dimension runs on level
 masks instead (`_compose_codes`): one AND and one bit length per entry.
@@ -109,8 +109,8 @@ class FuzzyNeutroValue(_Value):
         return self.magnitude, self.indeterminate
 
     def __str__(self):
-        n, d = self.magnitude.numerator, self.magnitude.denominator
-        return _render_number(0, 1, n, d) if self.indeterminate else _render_number(n, d, 0, 1)
+        mag = self.magnitude
+        return _render_number(0, mag) if self.indeterminate else _render_number(mag, 0)
 
     def __repr__(self):
         return "FuzzyNeutroValue(%s)" % (self,)
@@ -263,47 +263,43 @@ def _decoder(magnitudes):
 
 
 def _encode(grid):
-    """Integer codes for a grid of grades: (magnitudes, codes, decode).
-
-    `magnitudes` are the distinct nonzero magnitudes, ascending.  Zero is
-    coded 0, and a grade whose magnitude has rank k among them is coded
-    `_ones(k)`, k one-bits shifted left once, plus 1 when it is real.  Codes
-    order like lattice_max (magnitude first, then real over indeterminate);
-    the AND of two codes keeps the shorter run of ones, and the real bit only
-    when both grades are real, which is lattice_min, zero annihilation
-    included.  `codes` is a tuple of row tuples, and `decode` is `_decoder`.
-    """
+    """Integer codes for a grid of grades: (magnitudes, codes, decode), the
+    distinct nonzero magnitudes ascending, and their `_codes` and `_decoder`."""
     keys = {_magnitude_key(v) for row in grid for v in row} - {(0, 1)}
     magnitudes = tuple(sorted(Fraction(*p) for p in keys))
+    return magnitudes, _codes(grid, magnitudes), _decoder(magnitudes)
+
+
+def _codes(grid, magnitudes):
+    """The code rows of a grid of grades, each nonzero magnitude among `magnitudes`.
+
+    Zero is coded 0, and a grade whose magnitude has rank k among the
+    ascending `magnitudes` is coded `_ones(k)`, k one-bits shifted left once,
+    plus 1 when it is real.  Codes order like lattice_max (magnitude first,
+    then real over indeterminate); the AND of two codes keeps the shorter run
+    of ones, and the real bit only when both grades are real, which is
+    lattice_min, zero annihilation included.
+    """
     by_mag = {(0, 1): (0, 0)}
     for k, mag in enumerate(magnitudes, 1):
         by_mag[mag.numerator, mag.denominator] = (_ones(k) | 1, _ones(k))  # by the flag
-    codes = tuple(
+    return tuple(
         tuple(by_mag[_magnitude_key(v)][v.indeterminate] for v in row) for row in grid
     )
-    return magnitudes, codes, _decoder(magnitudes)
 
 
 def _rank_codes(*relations):
     """The code matrices of `relations` on their joint ranks, and decode.
 
     Each relation's own codes serve as they are when every operand has the
-    same magnitudes; otherwise each is remapped onto the ranks of the union.
+    same magnitudes; otherwise each is encoded again on the ranks of the union.
     """
     encodings = [R._encoding() for R in relations]
     magnitudes, _, decode = encodings[0]
     if all(own == magnitudes for own, _, _ in encodings):
         return [codes for _, codes, _ in encodings], decode
     magnitudes = sorted(set().union(*(own for own, _, _ in encodings)))
-    rank = {mag: k for k, mag in enumerate(magnitudes, 1)}
-    remapped = []
-    for own, codes, _ in encodings:
-        remap = {0: 0}
-        for k, mag in enumerate(own, 1):
-            to = _ones(rank[mag])
-            remap[_ones(k)], remap[_ones(k) | 1] = to, to | 1
-        remapped.append([list(map(remap.__getitem__, row)) for row in codes])
-    return remapped, _decoder(magnitudes)
+    return [_codes(R.values, magnitudes) for R in relations], _decoder(magnitudes)
 
 
 def _compose_codes(P, Q, decode):

@@ -185,6 +185,54 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, text, message", [
+        (("graph", "analyze"), "", "empty model file"),
+        (("graph", "analyze"), "kind graph\n3\n", "line 3: expected `n m`"),
+        (("graph", "analyze"), "kind graph\n3 x\n", "line 3: expected `n m`"),
+        (("graph", "analyze"), "kind graph\n", "graph body needs an `n m` line"),
+        (("ngraph", "classify"), "kind neutro-graph\n",
+         "neutro-graph body needs an `n_real n_indet m directed` line"),
+        (("rel", "props"), "kind relation\n", "relation body needs a column-label header line"),
+        (("rm", "run", "--side", "domain", "--on", "D1"), "kind relational-model\n",
+         "relational-model body needs a `domain ...` line"),
+        (("ngraph", "classify"), "kind neutro-graph\n2 0 1 2\n0 1 R\n",
+         "line 3: directed flag must be 0 or 1"),
+        (("ngraph", "classify"), "kind neutro-graph\n2 0 2 0\n0 1 R\n",
+         "expected 2 edge lines, found 1"),
+        (("rel", "props"), "kind relation\na, , c\n", "line 3: empty column label"),
+        (("cm", "run", "--on", "C1"),
+         "kind concept-model\nconcepts C1 C2\nclamp C3\nmatrix\n0, 1\n1, 0\n",
+         "clamp names must be declared concepts"),
+        (("cm", "run", "--on", "C1"), "kind concept-model\nconcepts C1 C2\n0, 1\n1, 0\n",
+         "concept-model body needs a `matrix` line"),
+        (("rm", "run", "--side", "domain", "--on", "D1"),
+         "kind relational-model\ndomain D1\nrange R1\n0\n",
+         "relational-model body needs a `matrix` line"),
+    ])
+    def test_malformed_model_file_is_a_parse_error(self, capsys, tmp_path, argv, text, message):
+        bad = tmp_path / "bad.model"
+        bad.write_text("neutromap-model 1\n" + text if text else "")
+        argv = argv[:2] + (str(bad),) + argv[2:]
+        assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+    def test_generator_with_a_word_for_a_parameter_is_not_found(self, capsys):
+        assert run(capsys, "graph", "analyze", "cycle-x") == (
+            5, "", "error: no such file or generator: cycle-x\n"
+        )
+
+    def test_empty_name_list_is_a_domain_error(self, capsys):
+        assert run(capsys, "cm", "run", fx("ex-3.7.1-E.model"), "--on", ",") == (
+            1, "", "error: empty name list\n"
+        )
+
+    def test_diff_of_the_wrong_shape_is_a_shape_clash(self, capsys, tmp_path):
+        small = tmp_path / "small.csv"
+        small.write_text("0, 1\n1, 0\n")
+        assert run(
+            capsys, "link", fx("ex-3.7.11-NE1.model"), fx("ex-3.7.11-NE2.model"),
+            "--diff", str(small),
+        ) == (3, "", "error: diff matrix is 2x2, signed result is 4x5\n")
+
     def test_missing_file_is_not_found(self, capsys):
         code, _, err = run(capsys, "cm", "run", "no-such.model", "--on", "C1")
         assert code == 5 and "no such file" in err
@@ -410,6 +458,15 @@ class TestPolynomialTotality:
             "error: chromatic polynomial size guard: "
             "100010000 coefficient bits exceeds 100000000\n"
         )
+
+    def test_wheel_5000_trips_the_memo_guard(self, python_child):
+        # its states pass the states guard, but their masks would not fit under the cap
+        r = python_child(
+            "-c", CAPPED_CLI, "graph", "analyze", "wheel-5000", "--polynomial", timeout=20,
+        )
+        assert (r.returncode, r.stdout) == (4, "")
+        assert r.stderr.startswith("error: chromatic polynomial memo guard: ")
+        assert r.stderr.endswith(" mask bits exceeds 3000000000\n") and r.stderr.count("\n") == 1
 
     def test_guard_exits_4(self, python_child):
         # K20,23 and K21,22 are the smallest named graphs that trip the guard

@@ -175,6 +175,11 @@ class TestScalar:
             with pytest.raises(ParseError, match="bad number"):
                 NeutroNumber(0, bad)
 
+    @given(numbers_st, numbers_st)
+    def test_function_forms_match_the_operators(self, x, y):
+        assert nn_add(x, y) == x + y and nn_mul(x, y) == x * y
+        assert nn_add(str(x), 1) == x + 1 and nn_mul(str(x), I) == x * I
+
     @given(numbers_st, numbers_st, numbers_st)
     def test_ring_axioms(self, x, y, z):
         assert x + y == y + x
@@ -531,8 +536,9 @@ class TestScaledProduct:
         assert pairs(raw) == acc
 
     def test_no_entry_is_built_before_it_is_read(self, monkeypatch):
-        """nm_mul and link build no Fraction and no NeutroNumber; the first read
-        builds each entry of the product read, once."""
+        """nm_mul, link, nm_rank and transposes build no Fraction and no
+        NeutroNumber; the first read, rendering included, builds each entry of
+        the product read, once."""
         A = parse_matrix(PACKED_TEXT)
         B = parse_matrix("1/2, I, 2-6I\n1/3, 0, 1-I\n0.5, 2I, 5/7+I\n1, -I, 0\n"
                          "0, 1/9, I\n3, 0, 1\n-1, I, 1")
@@ -552,8 +558,10 @@ class TestScaledProduct:
         P = nm_mul(A, A)
         raw, signed = link([A, B, C])  # 7x7 by 7x3, then its transpose by 7x2
         T = P.transpose()
-        render_matrix(P), nm_rank(P), T._split_rows(), pairs(signed)
+        nm_rank(P), T._split_rows(), pairs(signed)
         assert made == {"Fraction": 0, "NeutroNumber": 0}
+        assert render_matrix(P) == render_matrix(twin)  # text is printed from the entries
+        assert made == {"Fraction": 2 * 49, "NeutroNumber": 49}
         assert P.entry(0, 0) == twin.entry(0, 0)
         assert made == {"Fraction": 2 * 49, "NeutroNumber": 49}
         assert list(P) == list(twin) and P == twin and P.row(6) == twin.row(6)

@@ -44,6 +44,8 @@ EDGES = {
     # (10 + 1) x 15 coefficient bits, and 73 memo states
     "chromatic polynomial size": (165, lambda: chromatic_polynomial(PETERSEN)(3), 120),
     "chromatic polynomial": (73, lambda: chromatic_polynomial(PETERSEN)(3), 120),
+    # the sum of len(state)**2 over the states those enter
+    "chromatic polynomial memo": (3574, lambda: chromatic_polynomial(PETERSEN)(3), 120),
     "hamiltonian search": (None, lambda: hamiltonian(generate("cycle", 14))[1], True),
     # the search that finds no spanning cycle of the Petersen graph
     "cycle search": (237, lambda: hamiltonian(PETERSEN)[1], False),
