@@ -1,10 +1,11 @@
 """Neutrosophic numbers, graphs, relations and cognitive maps.
 
-The package is organized by layer: exact a+bI arithmetic in `core`,
-classical desk-scale graph theory in `graphs`, its neutrosophic extension
-in `ngraph`, fuzzy/neutrosophic relations in `relations`, cognitive and
-relational map engines in `engines`, and the textual model file and DOT
-export in `formats`.  `import neutromap` loads none of them: a layer loads
+The package is organized by layer: errors, records and size guards in
+`base`, exact a+bI arithmetic in `core`, which re-exports `base`, classical
+desk-scale graph theory in `graphs`, its neutrosophic extension in `ngraph`,
+fuzzy/neutrosophic relations in `relations`, cognitive and relational map
+engines in `engines`, and the textual model file and DOT export in
+`formats`.  `import neutromap` loads none of them: a layer loads
 on first use of one of its names (or of the layer itself), through the
 module `__getattr__` of PEP 562.  The command-line front end,
 `neutromap.cli`, sits on top and is never loaded from here.

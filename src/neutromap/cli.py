@@ -13,16 +13,8 @@ import argparse
 import functools
 import os
 import sys
-from fractions import Fraction
 
-from .core import (
-    NotFoundError,
-    ParseError,
-    ShapeError,
-    SizeLimitError,
-    parse_matrix,
-    render_matrix,
-)
+from .base import NotFoundError, ParseError, ShapeError, SizeLimitError
 # at top level, not per handler: perfbench imports these names from neutromap.cli
 from .formats import KINDS, export_dot, model_for, parse_model, serialize_model
 
@@ -98,12 +90,12 @@ def _load(target, from_csv, *kinds):
     """The payload of a model file of one of `kinds`, or with `from_csv` a
     CSV matrix read as the first kind."""
     if from_csv:
+        from .core import parse_matrix
+
         return KINDS[kinds[0]].csv(parse_matrix(_read_text(target)))
     mf = parse_model(_read_text(target))
     if mf.kind not in kinds:
-        raise ValueError(
-            "%s is a %s model; expected %s" % (target, mf.kind, " or ".join(kinds))
-        )
+        raise ValueError("%s is a %s model; expected %s" % (target, mf.kind, " or ".join(kinds)))
     return mf.payload
 
 
@@ -146,10 +138,7 @@ def _cmd_graph_analyze(args, out):
         for i, comp in enumerate(r.components):
             out.put("connectivity.component.%d" % i, "component %d" % i, comp)
         out.put("connectivity.connected", "connected", r.is_connected)
-        out.put(
-            "connectivity.cut-vertices", "cut vertices",
-            tuple(sorted(r.cut_vertices)),
-        )
+        out.put("connectivity.cut-vertices", "cut vertices", tuple(sorted(r.cut_vertices)))
         out.put(
             "connectivity.cut-edges", "cut edges",
             tuple("%d-%d" % e for e in sorted(r.cut_edges)),
@@ -176,10 +165,7 @@ def _cmd_graph_analyze(args, out):
         r = graphs.coloring(G)
         out.put("coloring.chromatic-number", "chromatic number", r.chromatic_number)
         out.put("coloring.vertex-colors", "vertex colors", r.vertex_colors)
-        out.put(
-            "coloring.edge-chromatic-number", "edge chromatic number",
-            r.edge_chromatic_number,
-        )
+        out.put("coloring.edge-chromatic-number", "edge chromatic number", r.edge_chromatic_number)
         out.put(
             "coloring.edge-colors", "edge colors",
             tuple(
@@ -188,14 +174,9 @@ def _cmd_graph_analyze(args, out):
             ),
         )
     if args.polynomial:
-        out.put(
-            "polynomial.chromatic", "chromatic polynomial",
-            graphs.chromatic_polynomial(G),
-        )
+        out.put("polynomial.chromatic", "chromatic polynomial", graphs.chromatic_polynomial(G))
     if args.tree_count:
-        out.put(
-            "spanning-trees.count", "spanning trees", graphs.spanning_tree_count(G)
-        )
+        out.put("spanning-trees.count", "spanning trees", graphs.spanning_tree_count(G))
     if args.tutte:
         matrix, matching = graphs.tutte(G)
         for i, row in enumerate(matrix):
@@ -205,10 +186,7 @@ def _cmd_graph_analyze(args, out):
         flag, tour = graphs.eulerian(G)
         out.put("eulerian.flag", "eulerian", flag)
         if flag:
-            out.put(
-                "eulerian.tour", "euler tour",
-                tuple("%d-%d" % step for step in tour),
-            )
+            out.put("eulerian.tour", "euler tour", tuple("%d-%d" % step for step in tour))
     if args.hamiltonian:
         closure, flag, cycle = graphs.hamiltonian(G)
         out.put(
@@ -236,10 +214,7 @@ def _cmd_ngraph_color(args, out):
 
     G = _load(args.target, False, "neutro-graph")
     r = ngraph.neutro_coloring(G)
-    out.put(
-        "coloring.chromatic-number", "neutrosophic chromatic number",
-        r.chromatic_number,
-    )
+    out.put("coloring.chromatic-number", "neutrosophic chromatic number", r.chromatic_number)
     out.put(
         "coloring.vertex-colors", "vertex colors",
         tuple(
@@ -275,6 +250,8 @@ def _cmd_rel(args, out):
              else relations.transitive_closure)(*rels)
         out.block(args.action + ".model", "", serialize_model(model_for(C)))
     elif args.action == "props":
+        from fractions import Fraction
+
         try:
             epsilon = Fraction(args.epsilon)
         except ZeroDivisionError:
@@ -295,16 +272,10 @@ def _render_pattern(out, key, lead, kind_label, pattern):
 
     out.put(key + ".kind", kind_label, pattern.kind)
     if pattern.kind == "fixed-point":
-        out.put(
-            key + ".state", lead + "fixed point",
-            render_state(pattern.states[0]),
-        )
+        out.put(key + ".state", lead + "fixed point", render_state(pattern.states[0]))
     else:
         for i, s in enumerate(pattern.states):
-            out.put(
-                "%s.cycle.%d" % (key, i), "%scycle state %d" % (lead, i),
-                render_state(s),
-            )
+            out.put("%s.cycle.%d" % (key, i), "%scycle state %d" % (lead, i), render_state(s))
     out.put(key + ".steps", lead + "steps to enter", pattern.steps_to_enter)
 
 
@@ -361,6 +332,7 @@ def _cmd_rm_run(args, out):
 
 def _cmd_link(args, out):
     from . import engines
+    from .core import parse_matrix, render_matrix
 
     if args.from_csv:
         mats = [parse_matrix(_read_text(t)) for t in args.inputs]
@@ -381,21 +353,14 @@ def _cmd_link(args, out):
                 % (printed.rows, printed.cols, signed.rows, signed.cols)
             )
         agree = 0
-        for i in range(signed.rows):
-            for j in range(signed.cols):
-                ours, theirs = signed.entry(i, j), printed.entry(i, j)
+        for i, pair in enumerate(zip(signed, printed), 1):
+            for j, (ours, theirs) in enumerate(zip(*pair), 1):
                 if ours == theirs:
                     agree += 1
                 else:
-                    out.put(
-                        "diff.mismatch.%d.%d" % (i + 1, j + 1),
-                        "diff (%d,%d)" % (i + 1, j + 1),
-                        "computed %s printed %s" % (ours, theirs),
-                    )
-        out.put(
-            "diff.agreements", "agreements",
-            "%d/%d" % (agree, signed.rows * signed.cols),
-        )
+                    out.put("diff.mismatch.%d.%d" % (i, j), "diff (%d,%d)" % (i, j),
+                            "computed %s printed %s" % (ours, theirs))
+        out.put("diff.agreements", "agreements", "%d/%d" % (agree, signed.rows * signed.cols))
 
 
 def _cmd_export_dot(args, out):
@@ -405,96 +370,124 @@ def _cmd_export_dot(args, out):
 
 # -------------------------------------------------------------------- main
 
+_COMMANDS = ("graph", "ngraph", "rel", "cm", "rm", "link", "export")
+
+
+class _Rebuild(Exception):
+    """A usage error met by a parser built for one command."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """Its usage lists one command, so the full parser prints its errors."""
+
+    def error(self, message):
+        raise _Rebuild
+
+
+def _command(argv):
+    """The command argv names after a leading top-level --format and its value,
+    or None: top-level help and usage errors need the full parser."""
+    i = 0
+    while i < len(argv) and (argv[i] == "--format" or argv[i].startswith("--format=")):
+        i += 1 if "=" in argv[i] else 2
+    return argv[i] if i < len(argv) and argv[i] in _COMMANDS else None
+
+
 @functools.cache
-def _build_parser():
-    """The argument parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+def _build_parser(command=None):
+    """The argument parser with every command, or with `command` alone, built
+    once per process; parsing leaves it unchanged."""
+    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
         prog="neutromap",
         description="Neutrosophic graphs, relations and cognitive maps.",
     )
-    parser.add_argument(
-        "--format", choices=("plain", "structured"), default=None,
-        dest="format_root",
-    )
+    parser.add_argument("--format", choices=("plain", "structured"), dest="format_root")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("plain", "structured"), default=None,
-    )
+    common.add_argument("--format", choices=("plain", "structured"))
     sub = parser.add_subparsers(dest="command", required=True)
+    if command in (None, "graph"):
+        g = sub.add_parser("graph", help="classical graph analyses")
+        gsub = g.add_subparsers(dest="action", required=True)
+        ga = gsub.add_parser("analyze", parents=[common])
+        ga.add_argument("target", help="model file, - for stdin, or a generator name")
+        ga.add_argument("--from-csv", action="store_true", dest="from_csv")
+        for a in _ANALYSES:
+            ga.add_argument("--" + a, action="store_true")
+        ga.add_argument("--seed", type=int, default=0,
+                        help="no effect: the perfect-matching decision is deterministic")
+        ga.set_defaults(func=_cmd_graph_analyze)
 
-    g = sub.add_parser("graph", help="classical graph analyses")
-    gsub = g.add_subparsers(dest="action", required=True)
-    ga = gsub.add_parser("analyze", parents=[common])
-    ga.add_argument("target", help="model file, - for stdin, or a generator name")
-    ga.add_argument("--from-csv", action="store_true", dest="from_csv")
-    for a in _ANALYSES:
-        ga.add_argument("--" + a, action="store_true")
-    ga.add_argument("--seed", type=int, default=0,
-                    help="no effect: the perfect-matching decision is deterministic")
-    ga.set_defaults(func=_cmd_graph_analyze)
+    if command in (None, "ngraph"):
+        n = sub.add_parser("ngraph", help="neutrosophic graph analyses")
+        nsub = n.add_subparsers(dest="action", required=True)
+        nc = nsub.add_parser("classify", parents=[common])
+        nc.add_argument("target")
+        nc.set_defaults(func=_cmd_ngraph_classify)
+        no = nsub.add_parser("color", parents=[common])
+        no.add_argument("target")
+        no.set_defaults(func=_cmd_ngraph_color)
+        np_ = nsub.add_parser("petersen", parents=[common])
+        np_.add_argument("kind", choices=("vertex", "edge", "strong"))
+        np_.add_argument("params", nargs="+", type=int)
+        np_.set_defaults(func=_cmd_ngraph_petersen)
 
-    n = sub.add_parser("ngraph", help="neutrosophic graph analyses")
-    nsub = n.add_subparsers(dest="action", required=True)
-    nc = nsub.add_parser("classify", parents=[common])
-    nc.add_argument("target")
-    nc.set_defaults(func=_cmd_ngraph_classify)
-    no = nsub.add_parser("color", parents=[common])
-    no.add_argument("target")
-    no.set_defaults(func=_cmd_ngraph_color)
-    np_ = nsub.add_parser("petersen", parents=[common])
-    np_.add_argument("kind", choices=("vertex", "edge", "strong"))
-    np_.add_argument("params", nargs="+", type=int)
-    np_.set_defaults(func=_cmd_ngraph_petersen)
+    if command in (None, "rel"):
+        r = sub.add_parser("rel", help="fuzzy/neutrosophic relations")
+        rsub = r.add_subparsers(dest="action", required=True)
+        for action, nargs in (("compose", 2), ("closure", 1), ("props", 1), ("join", 2)):
+            rp = rsub.add_parser(action, parents=[common])
+            rp.add_argument("inputs", nargs=nargs)
+            rp.add_argument("--from-csv", action="store_true", dest="from_csv")
+            if action == "props":
+                rp.add_argument("--epsilon", default="1/2")
+            rp.set_defaults(func=_cmd_rel)
 
-    r = sub.add_parser("rel", help="fuzzy/neutrosophic relations")
-    rsub = r.add_subparsers(dest="action", required=True)
-    for action, nargs in (("compose", 2), ("closure", 1), ("props", 1), ("join", 2)):
-        rp = rsub.add_parser(action, parents=[common])
-        rp.add_argument("inputs", nargs=nargs)
-        rp.add_argument("--from-csv", action="store_true", dest="from_csv")
-        if action == "props":
-            rp.add_argument("--epsilon", default="1/2")
-        rp.set_defaults(func=_cmd_rel)
+    if command in (None, "cm"):
+        c = sub.add_parser("cm", help="cognitive map runs")
+        csub = c.add_subparsers(dest="action", required=True)
+        cr = csub.add_parser("run", parents=[common])
+        cr.add_argument("model")
+        cr.add_argument("--on", required=True, help="comma-separated concepts to switch on")
+        cr.add_argument("--clamp", default=None, help="override the clamp set")
+        cr.add_argument("--degrade", action="store_true")
+        cr.add_argument("--from-csv", action="store_true", dest="from_csv")
+        cr.set_defaults(func=_cmd_cm_run)
 
-    c = sub.add_parser("cm", help="cognitive map runs")
-    csub = c.add_subparsers(dest="action", required=True)
-    cr = csub.add_parser("run", parents=[common])
-    cr.add_argument("model")
-    cr.add_argument("--on", required=True, help="comma-separated concepts to switch on")
-    cr.add_argument("--clamp", default=None, help="override the clamp set")
-    cr.add_argument("--degrade", action="store_true")
-    cr.add_argument("--from-csv", action="store_true", dest="from_csv")
-    cr.set_defaults(func=_cmd_cm_run)
+    if command in (None, "rm"):
+        m = sub.add_parser("rm", help="relational map runs")
+        msub = m.add_subparsers(dest="action", required=True)
+        mr = msub.add_parser("run", parents=[common])
+        mr.add_argument("model")
+        mr.add_argument("--side", choices=("domain", "range"), required=True)
+        mr.add_argument("--on", required=True)
+        mr.add_argument("--clamp", default=None)
+        mr.add_argument("--from-csv", action="store_true", dest="from_csv")
+        mr.set_defaults(func=_cmd_rm_run)
 
-    m = sub.add_parser("rm", help="relational map runs")
-    msub = m.add_subparsers(dest="action", required=True)
-    mr = msub.add_parser("run", parents=[common])
-    mr.add_argument("model")
-    mr.add_argument("--side", choices=("domain", "range"), required=True)
-    mr.add_argument("--on", required=True)
-    mr.add_argument("--clamp", default=None)
-    mr.add_argument("--from-csv", action="store_true", dest="from_csv")
-    mr.set_defaults(func=_cmd_rm_run)
+    if command in (None, "link"):
+        l = sub.add_parser("link", parents=[common], help="fold relational maps")
+        l.add_argument("inputs", nargs="+")
+        l.add_argument("--signed", action="store_true")
+        l.add_argument("--diff", default=None, help="csv matrix to diff the signed result against")
+        l.add_argument("--from-csv", action="store_true", dest="from_csv")
+        l.set_defaults(func=_cmd_link)
 
-    l = sub.add_parser("link", parents=[common], help="fold relational maps")
-    l.add_argument("inputs", nargs="+")
-    l.add_argument("--signed", action="store_true")
-    l.add_argument("--diff", default=None, help="csv matrix to diff the signed result against")
-    l.add_argument("--from-csv", action="store_true", dest="from_csv")
-    l.set_defaults(func=_cmd_link)
-
-    e = sub.add_parser("export", help="export models")
-    esub = e.add_subparsers(dest="action", required=True)
-    ed = esub.add_parser("dot", parents=[common])
-    ed.add_argument("target")
-    ed.set_defaults(func=_cmd_export_dot)
+    if command in (None, "export"):
+        e = sub.add_parser("export", help="export models")
+        esub = e.add_subparsers(dest="action", required=True)
+        ed = esub.add_parser("dot", parents=[common])
+        ed.add_argument("target")
+        ed.set_defaults(func=_cmd_export_dot)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = _build_parser(_command(argv)).parse_args(argv)
+        except _Rebuild:
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     out = _Out(args.format or args.format_root or "plain")

@@ -7,14 +7,14 @@ ends in exactly one newline.  `KINDS` is the one table of kinds: each tag
 maps to its payload class, body parser, body writer, DOT writer and the
 reader of a bare CSV matrix as that kind (`--from-csv`).  A payload class is
 named, not imported, and each body parser and CSV reader imports its own
-layer, so a command loads only the layer of the kinds it reads.
+layer, so a command loads only the layer of the kinds it reads; only the
+kinds with a+bI weights, the concept and relational models, load `core`.
 """
 
 import sys
 from collections import namedtuple
 
-from .core import (ParseError, SizeLimitError, ZERO, I, _Record, _SIGN_LABELS,
-                   _check_guard, matrix_from_lines, meaningful_lines, render_matrix)
+from .base import ParseError, SizeLimitError, _Record, _check_guard, meaningful_lines
 
 MODEL_HEADER = "neutromap-model 1"
 
@@ -172,6 +172,7 @@ def _parse_relation_body(body):
 
 
 def _parse_concept_body(body):
+    from .core import matrix_from_lines
     from .engines import ConceptModel
 
     if not body or not body[0][1].startswith("concepts "):
@@ -196,6 +197,7 @@ def _parse_concept_body(body):
 
 
 def _parse_relational_body(body):
+    from .core import matrix_from_lines
     from .engines import RelationalModel
 
     if not body or not body[0][1].startswith("domain "):
@@ -229,6 +231,8 @@ def _write_relation_body(R):
 
 
 def _write_concept_body(model):
+    from .core import render_matrix
+
     lines = ["concepts " + " ".join(model.concept_names)]
     if model.default_clamp is not None:
         lines.append(" ".join(
@@ -238,6 +242,8 @@ def _write_concept_body(model):
 
 
 def _write_relational_body(model):
+    from .core import render_matrix
+
     return [
         "domain " + " ".join(model.domain_names),
         "range " + " ".join(model.range_names),
@@ -283,6 +289,8 @@ def _arc(src, dst, label, dotted):
 
 def _weight_arcs(rows, cols, M):
     """One arc per nonzero weight: I dotted, signs labeled +1/-1."""
+    from .core import ZERO, I, _SIGN_LABELS
+
     return [
         _arc(x, y, _SIGN_LABELS[w], w == I)
         for i, x in enumerate(rows)

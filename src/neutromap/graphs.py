@@ -28,7 +28,7 @@ searches, and the printed size of a chromatic polynomial.
 from itertools import combinations, count, starmap, zip_longest
 from operator import add, itemgetter, sub
 
-from .core import _GUARDS, NotFoundError, _Record, _Value, _check_guard, _echelon
+from .base import _GUARDS, NotFoundError, _Record, _Value, _check_guard, _echelon
 
 
 class Graph(_Value):

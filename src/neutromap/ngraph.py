@@ -13,8 +13,7 @@ untried images, pruned by per-vertex kind and tag-degree signatures.
 from collections import Counter
 
 from . import graphs
-from .core import (I, NeutroMatrix, ShapeError, ZERO, ONE, _ACTIVATIONS, _Record, _Value,
-                   _check_entries, _check_guard)
+from .base import ShapeError, _Record, _Value, _check_guard
 
 
 _TAGS = ("R", "I")
@@ -94,6 +93,8 @@ def classify(G):
 
 def adjacency(G):
     """Square matrix over {0, 1, I}; I marks the indeterminate edges."""
+    from .core import I, NeutroMatrix, ONE, ZERO
+
     n = G.vertex_count
     rows = [[ZERO] * n for _ in range(n)]
     for u, v, t in G.edges:
@@ -106,27 +107,31 @@ def adjacency(G):
 
 def from_adjacency(M, indet_vertices=0, directed=False):
     """Inverse of adjacency; vertex indeterminacy is supplied out-of-band."""
+    from .core import _ACTIVATIONS, _check_entries
+
     if M.rows != M.cols:
         raise ShapeError("adjacency matrix must be square")
     if not (0 <= indet_vertices <= M.rows):
         raise ValueError("indeterminate vertex count out of range")
     _check_entries(M, _ACTIVATIONS, "adjacency entries")
+    # every entry is 0, 1 or I now, so each is read once, as its edge tag ("" for 0)
+    tags = [["I" if x.indet else "R" if x.real else "" for x in row] for row in M]
     edges = []
-    for i in range(M.rows):
-        if M.entry(i, i) != ZERO:
+    for i, row in enumerate(tags):
+        if row[i]:
             raise ValueError(
                 "%s adjacency needs a zero diagonal"
                 % ("directed" if directed else "undirected")
             )
         for j in range(0 if directed else i + 1, M.cols):
-            x = M.entry(i, j)
-            if not directed and x != M.entry(j, i):
+            tag = row[j]
+            if not directed and tag != tags[j][i]:
                 raise ValueError(
                     "asymmetric adjacency at (%d, %d) with directed=false"
                     % (i + 1, j + 1)
                 )
-            if x != ZERO:
-                edges.append((i, j, "I" if x == I else "R"))
+            if tag:
+                edges.append((i, j, tag))
     return NeutroGraph(
         M.rows - indet_vertices, indet_vertices, edges, directed=bool(directed)
     )

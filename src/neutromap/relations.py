@@ -29,6 +29,7 @@ from .core import (
     ShapeError,
     _Record,
     _Value,
+    _check_guard,
     _render_number,
     parse_number,
 )
@@ -355,6 +356,7 @@ def relational_join(P, Q):
             "join needs matching middle labels: %r vs %r"
             % (list(P.col_labels), list(Q.row_labels))
         )
+    _check_guard("relational join", len(P.row_labels) * len(P.col_labels) * len(Q.col_labels))
     (Pc, Qc), decode = _rank_codes(P, Q)
     table = {}
     for x, prow in zip(P.row_labels, Pc):

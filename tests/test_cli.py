@@ -333,6 +333,16 @@ class TestExitCodes:
         assert (r.returncode, r.stdout) == (4, "")
         assert r.stderr == "error: graph order guard: 1000000000 vertices exceeds 1000000\n"
 
+    def test_join_guard(self, python_child, tmp_path):
+        # the 8 * 10^6 lines of a 200-label join would not fit under this cap
+        csv = tmp_path / "r200.csv"
+        csv.write_text((", ".join(["0.5", "I", "1", "0"] * 50) + "\n") * 200)
+        r = python_child(
+            "-c", CAPPED_CLI, "rel", "join", str(csv), str(csv), "--from-csv", timeout=20,
+        )
+        assert (r.returncode, r.stdout) == (4, "")
+        assert r.stderr == "error: relational join guard: 8000000 entries exceeds 1000000\n"
+
     def test_model_order_guard_edge(self, capsys, tmp_path):
         model = tmp_path / "edge.model"
         for n_indet, code in ((999995, 0), (999996, 4)):

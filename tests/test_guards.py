@@ -19,10 +19,15 @@ from neutromap.formats import parse_model
 from neutromap.graphs import (Graph, chromatic_polynomial, coloring, generate, hamiltonian,
                               metrics, spanning_tree_count, tutte)
 from neutromap.ngraph import NeutroGraph, neutro_isomorphic
+from neutromap.relations import FuzzyNeutroRelation, relational_join
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 PETERSEN = generate("petersen")  # 10 vertices, 15 edges
 NEUTRO_PATH = NeutroGraph(9, 1, [(i, i + 1, "R") for i in range(9)])  # 10 vertices
+# x1, x2 -> y1, y2, y3 and y1, y2, y3 -> z1, z2: a join table of 2 x 3 x 2 entries
+JOIN_P = FuzzyNeutroRelation.from_tokens([["1", "0.5", "I"], ["0", "0.2I", "1"]])
+JOIN_Q = FuzzyNeutroRelation.from_tokens(
+    [["0.3", "1"], ["I", "0"], ["1", "0.7"]], ["y1", "y2", "y3"], ["z1", "z2"])
 
 
 def ring(n):
@@ -54,6 +59,7 @@ EDGES = {
         None, lambda: coloring(generate("complete-bipartite", 4, 5)).edge_chromatic_number, 5),
     "balance": (None, lambda: balance(ring(12)), (True, None)),
     "isomorphism": (None, lambda: neutro_isomorphic(NEUTRO_PATH, NEUTRO_PATH)[0], True),
+    "relational join": (12, lambda: len(relational_join(JOIN_P, JOIN_Q)), 12),
 }
 
 

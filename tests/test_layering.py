@@ -1,6 +1,7 @@
 """Layering: the library loads without the command-line front end, the
 package loads no layer until one of its names is used, and each command
-loads only the layers it calls and none of the heavy standard modules."""
+loads only the layers it calls and none of the heavy standard modules;
+only a command that builds a+bI numbers loads `core` and `fractions`."""
 
 import ast
 import os
@@ -41,12 +42,14 @@ EXPORTS = {
 # `dataclasses` pulls in `inspect`, which pulls in `ast` and `dis`: several
 # milliseconds at every start of a command that needs none of them
 HEAVY = ("ast", "dataclasses", "dis", "inspect")
-# prints the neutromap submodules and the HEAVY modules a child has loaded
-# after running its code
+# the exact rationals, loaded with `core` only
+EXACT = ("decimal", "fractions")
+# prints the neutromap submodules and the HEAVY and EXACT modules a child
+# has loaded after running its code
 LOADED = (
     "import sys; {}; "
     "print(sorted(m for m in sys.modules if m.startswith('neutromap.') "
-    "or m in %r), file=sys.stderr)" % (HEAVY,)
+    "or m in %r), file=sys.stderr)" % (HEAVY + EXACT,)
 )
 RUN_CLI = "from neutromap.cli import main; main(sys.argv[1:])"
 
@@ -74,7 +77,7 @@ def test_import_neutromap_loads_no_layer(python_child):
 def test_import_cli_loads_no_heavy_module(python_child):
     r = python_child("-c", LOADED.format("import neutromap.cli"))
     assert (r.returncode, r.stderr) == (
-        0, "['neutromap.cli', 'neutromap.core', 'neutromap.formats']\n"
+        0, "['neutromap.base', 'neutromap.cli', 'neutromap.formats']\n"
     )
 
 
@@ -82,29 +85,37 @@ def _fixture(name):
     return os.path.join(FIXTURES, name)
 
 
-# every command loads the cli, core and formats; beyond those, only these
+# every command loads the cli, base and formats; beyond those, only these,
+# and `fractions` and `decimal` exactly when `core` is among them
 @pytest.mark.parametrize(
     "argv, layers",
     [
         (["graph", "analyze", "complete-5"], {"graphs"}),
+        (["graph", "analyze", _fixture("fig-2.2.3.model")], {"graphs"}),
         (["ngraph", "color", _fixture("fig-3.2.8-NA.model")], {"graphs", "ngraph"}),
-        (["rel", "props", _fixture("ex-2.8.3.model")], {"relations"}),
-        (["cm", "run", _fixture("ex-3.7.1-NE.model"), "--on", "C1"], {"engines"}),
+        (["rel", "props", _fixture("ex-2.8.3.model")], {"core", "relations"}),
+        (["cm", "run", _fixture("ex-3.7.1-NE.model"), "--on", "C1"], {"core", "engines"}),
         (
             ["rm", "run", _fixture("ex-3.7.10-NR.model"), "--side", "domain", "--on", "D1"],
-            {"engines"},
+            {"core", "engines"},
         ),
-        (["link", _fixture("ex-3.7.11-NE1.model"), _fixture("ex-3.7.11-NE2.model")], {"engines"}),
-        (["export", "dot", _fixture("ex-2.8.3.model")], {"relations"}),
+        (
+            ["link", _fixture("ex-3.7.11-NE1.model"), _fixture("ex-3.7.11-NE2.model")],
+            {"core", "engines"},
+        ),
+        (["export", "dot", _fixture("ex-2.8.3.model")], {"core", "relations"}),
     ],
-    ids=["graph-analyze", "ngraph-color", "rel-props", "cm-run", "rm-run", "link", "export-dot"],
+    ids=["graph-analyze", "graph-analyze-model", "ngraph-color", "rel-props", "cm-run",
+         "rm-run", "link", "export-dot"],
 )
 def test_command_loads_only_its_layers(python_child, argv, layers):
     r = python_child("-c", LOADED.format(RUN_CLI), *argv)
     # a failing command would print an `error:` line before the module list
     assert r.returncode == 0 and r.stdout and r.stderr.startswith("["), r.stderr
     loaded = ast.literal_eval(r.stderr)
-    assert loaded == sorted("neutromap." + m for m in {"cli", "core", "formats"} | layers)
+    exact = EXACT if "core" in layers else ()
+    assert loaded == sorted(
+        ["neutromap." + m for m in {"base", "cli", "formats"} | layers] + list(exact))
 
 
 def _module_trees():
@@ -117,8 +128,8 @@ def _module_trees():
 
 
 def test_value_equality_is_written_once():
-    """Only NeutroNumber, equal to ints and Fractions and hashed like them,
-    and core's `_Value` base write `__eq__`/`__hash__`; every other value
+    """Only core's NeutroNumber, equal to ints and Fractions and hashed like
+    them, and base's `_Value` write `__eq__`/`__hash__`; every other value
     class inherits them from `_Value` and gives only its `_key()`."""
     written = set()
     for name, tree in _module_trees():
@@ -130,8 +141,9 @@ def test_value_equality_is_written_once():
                     and node.name in ("__eq__", "__hash__")
                 }
     assert written == {
-        ("core.py", cls, method)
-        for cls in ("NeutroNumber", "_Value") for method in ("__eq__", "__hash__")
+        (name, cls, method)
+        for name, cls in (("core.py", "NeutroNumber"), ("base.py", "_Value"))
+        for method in ("__eq__", "__hash__")
     }
 
 
@@ -160,7 +172,8 @@ def test_no_library_function_recurses():
     name: every search keeps its own stack, so the depth of an input never
     meets the interpreter's recursion limit.  The CLI, which recurses over
     one printed value, is outside."""
-    layers = {"core.py", "engines.py", "formats.py", "graphs.py", "ngraph.py", "relations.py"}
+    layers = {"base.py", "core.py", "engines.py", "formats.py", "graphs.py", "ngraph.py",
+              "relations.py"}
     recursive = {
         (name, func.name)
         for name, tree in _module_trees() if name in layers
